@@ -127,14 +127,18 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Short fuzz pass over the WAL replay path: arbitrary journal bytes must
-# never panic replay, and truncation to the longest valid prefix must be
-# idempotent (re-replaying the truncated file is clean and lossless).
-# 10s is a smoke, not a campaign; run longer locally with
+# Short fuzz passes. FuzzJournalReplay: arbitrary journal bytes must
+# never panic WAL replay, and truncation to the longest valid prefix must
+# be idempotent (re-replaying the truncated file is clean and lossless).
+# FuzzBatchEquivalence: over random programs, injection instants, node
+# samples, model subsets, lane caps and slice splits, the bit-parallel
+# engine must stay byte-identical to the scalar one.
+# 10s each is a smoke, not a campaign; run longer locally with
 # `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzBatchEquivalence -fuzztime $(FUZZTIME) ./internal/fault/
 
 # staticcheck is optional locally (the container may not ship it); CI
 # installs and runs it unconditionally via its action.

@@ -232,6 +232,32 @@ func BenchmarkCampaignFromReset(b *testing.B) {
 	benchmarkCampaignEngine(b, true)
 }
 
+// BenchmarkCampaignMultiBatch times a campaign call whose plan holds 24
+// full batches (512 IU nodes × stuck-at-0/1 and open-line, 1536 lanes):
+// every batch resolves its lanes from the call's one witnessed golden
+// pass, so this benchmark shows the cross-batch sharing that the
+// single-batch BenchmarkCampaignCheckpointed (48 lanes) cannot.
+func BenchmarkCampaignMultiBatch(b *testing.B) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := fault.NewRunner(w.Program, fault.Options{InjectAtFraction: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := fault.SampleNodes(r.Nodes(fault.TargetIU), 512, 1)
+	exps := fault.Expand(nodes, rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine)
+	r.PrepareCheckpoint() // capture outside the timed region
+	var pf float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pf = fault.Pf(r.Campaign(exps, 0))
+	}
+	b.ReportMetric(100*pf, "Pf-%")
+	b.ReportMetric(float64(len(exps))*float64(b.N)/b.Elapsed().Seconds(), "exp/s")
+}
+
 // BenchmarkCampaignTransient times the transient-model engine: SEU
 // bit-flips and 2-cycle SET pulses with per-experiment injection cycles
 // scheduled across the golden run, forked from the same checkpoint the

@@ -72,9 +72,8 @@ func (r *Runner) capture() *checkpoint {
 }
 
 // runForked executes one experiment forked from the checkpoint on the
-// given core — a pooled worker core or (under Options.NoPool) a freshly
-// built one — whose bus must already sit on a copy-on-write fork of the
-// checkpoint image. The core is restored in place to the snapshotted
+// given pooled worker core, whose bus must already sit on a
+// copy-on-write fork of the checkpoint image. The core is restored in place to the snapshotted
 // state, the fault is armed, and the run continues under the usual
 // comparator. The false return (snapshot/core structure mismatch) never
 // happens with a same-program core and makes RunOne fall back to the

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/rtl"
@@ -10,12 +11,12 @@ import (
 )
 
 // TestEngineEquivalence is the campaign engines' correctness contract:
-// every engine combination — pooled or fork-per-experiment, checkpointed
-// or from-reset, scalar or bit-parallel at any lane count — must produce
-// bit-identical Result slices (outcomes, latencies, run lengths, hence
-// Pf) across both injection targets and all five fault models, with
-// transient instants scheduled over the full experiment list. The scalar
-// pooled checkpointed engine is the reference; the batched variants pin
+// every engine combination — checkpointed or from-reset, scalar or
+// bit-parallel at any lane count — must produce bit-identical Result
+// slices (outcomes, latencies, run lengths, hence Pf) across both
+// injection targets and all five fault models, with transient instants
+// scheduled over the full experiment list. The scalar
+// checkpointed engine is the reference; the batched variants pin
 // DESIGN.md §10's claim that lane-masked execution is an optimization,
 // not an approximation.
 func TestEngineEquivalence(t *testing.T) {
@@ -31,9 +32,7 @@ func TestEngineEquivalence(t *testing.T) {
 		{"batched-64", Options{InjectAtFraction: 0.3}},
 		{"batched-8", Options{InjectAtFraction: 0.3, BatchLanes: 8}},
 		{"batched-1", Options{InjectAtFraction: 0.3, BatchLanes: 1}},
-		{"batched-fork-per-experiment", Options{InjectAtFraction: 0.3, NoPool: true}},
 		{"pooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true}},
-		{"unpooled-from-reset", Options{InjectAtFraction: 0.3, NoCheckpoint: true, NoPool: true}},
 	}
 	for _, target := range []Target{TargetIU, TargetCMEM} {
 		t.Run(target.String(), func(t *testing.T) {
@@ -58,18 +57,7 @@ func TestEngineEquivalence(t *testing.T) {
 				if eng.name == "batched-64" {
 					batched, scheduled = r, exps
 				}
-				if !reflect.DeepEqual(ref, results) {
-					for i := range ref {
-						if !reflect.DeepEqual(ref[i], results[i]) {
-							t.Errorf("%s: experiment %d (%v %v) diverged: %+v vs %+v",
-								eng.name, i, exps[i].Node.Node, exps[i].Model, ref[i], results[i])
-						}
-					}
-					t.Fatalf("%s: results differ from %s", eng.name, engines[0].name)
-				}
-				if got, want := Pf(results), Pf(ref); got != want {
-					t.Fatalf("%s: Pf %v != %v", eng.name, got, want)
-				}
+				diffResults(t, eng.name, exps, ref, results)
 			}
 
 			// Sharded batched execution: running contiguous slices of the
@@ -77,27 +65,18 @@ func TestEngineEquivalence(t *testing.T) {
 			// currency — instants were assigned over the full list) and
 			// concatenating must reassemble the unsharded byte stream, no
 			// matter how the slicing interacts with batch boundaries.
-			var merged []Result
-			for lo := 0; lo < len(scheduled); {
-				hi := lo + 7
-				if hi > len(scheduled) {
-					hi = len(scheduled)
-				}
-				merged = append(merged, batched.Campaign(scheduled[lo:hi], 2)...)
-				lo = hi
-			}
-			if !reflect.DeepEqual(merged, ref) {
-				t.Fatal("sharded batched campaign diverged from unsharded results")
-			}
+			diffResults(t, "sharded batched", scheduled, ref, sliceCampaign(batched, scheduled, []int{7}, 2))
 		})
 	}
 }
 
 // TestBatchedCampaignRace drives the bit-parallel engine through a
-// parallel campaign with multiple concurrent batches, so `go test -race`
-// exercises concurrent witness arming on pooled cores, pass-snapshot
-// capture, copy-on-write image forks and per-lane materialization — and
-// the lane demultiplexing stays byte-identical to serial execution.
+// parallel campaign with multiple concurrent batches, and through
+// concurrent campaign calls on one runner, so `go test -race` exercises
+// concurrent batches sharing one call's witnessed pass, concurrent
+// passes of different calls on pooled cores, copy-on-write image forks
+// and per-lane materialization — and the lane demultiplexing stays
+// byte-identical to serial execution.
 func TestBatchedCampaignRace(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
@@ -114,6 +93,28 @@ func TestBatchedCampaignRace(t *testing.T) {
 	ser := r.Campaign(exps, 1)
 	if !reflect.DeepEqual(par, ser) {
 		t.Fatal("parallel batched campaign diverged from serial")
+	}
+
+	// Concurrent calls on one runner: whole-list calls and shard-style
+	// slices, each with its own pass.
+	var wg sync.WaitGroup
+	got := make([][]Result, 4)
+	for c := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c%2 == 0 {
+				got[c] = r.Campaign(exps, 3)
+			} else {
+				got[c] = sliceCampaign(r, exps, []int{19 + c, 27}, 2)
+			}
+		}()
+	}
+	wg.Wait()
+	for c, res := range got {
+		if !reflect.DeepEqual(res, ser) {
+			t.Fatalf("concurrent call %d diverged from serial", c)
+		}
 	}
 }
 

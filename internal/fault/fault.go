@@ -141,26 +141,21 @@ type Options struct {
 	// Classifications are identical either way; disabling is only useful
 	// for debugging the engine or measuring its speedup.
 	NoCheckpoint bool
-	// NoPool disables the pooled campaign engine: every experiment then
-	// builds a fresh RTL core (the fork-per-experiment engine of PR 1)
-	// instead of restoring a per-worker pooled core in place. Results are
-	// identical; the option exists for engine debugging and the
-	// engine-equivalence tests.
-	NoPool bool
 	// NoBatch disables the bit-parallel (PPSFP) campaign engine: every
 	// experiment then runs as its own scalar simulation instead of
-	// sharing one witnessed golden pass per batch of up to 64 fault
-	// universes (see batch.go and DESIGN.md §10). Results are identical;
-	// like NoPool and NoCheckpoint the toggle exists for debugging and
-	// the engine-equivalence tests. Batching also requires the
-	// checkpointed engine; with NoCheckpoint set or InjectAtCycle zero
-	// every experiment is scalar regardless of NoBatch.
+	// resolving from the campaign call's one witnessed golden pass in
+	// batches of up to 64 fault universes (see batch.go and DESIGN.md
+	// §10). Results are identical; like NoCheckpoint the toggle exists
+	// for debugging and the engine-equivalence tests. Batching also
+	// requires the checkpointed engine; with NoCheckpoint set or
+	// InjectAtCycle zero every experiment is scalar regardless of
+	// NoBatch.
 	NoBatch bool
 	// BatchLanes caps the number of fault universes a batch carries
 	// (DESIGN.md §10 ablates 1/8/32/64). Zero selects the full 64 lanes;
 	// values above 64 are clamped. One lane still exercises the batched
-	// engine (witnessed pass plus per-lane forks), just without lane
-	// sharing.
+	// engine (per-lane resolution from the call's shared witnessed
+	// pass), with the finest dispatch granule.
 	BatchLanes int
 	// Obs, when non-nil, receives the engine's counters (experiments,
 	// batch-lane funnel, golden-pass throughput). Observation only: it
@@ -458,25 +453,13 @@ func (r *Runner) runFromReset(core *leon3.Core, bus *mem.Bus, e Experiment) Resu
 // that fork point ride the same engine (the clean continuation is
 // advanced to the sampled cycle before arming); one sampled earlier
 // falls back to from-reset execution so the injection is never skipped.
-// By default both paths reuse a pooled core restored in place (see
-// Options.NoPool for the fork-per-experiment engine). All engine
+// Both paths reuse a pooled core restored in place. All engine
 // combinations produce identical results.
 func (r *Runner) RunOne(e Experiment) Result {
 	ck := r.checkpoint()
 	if ck != nil && e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle {
 		ck = nil
 	}
-	if r.opts.NoPool {
-		if ck != nil {
-			bus := mem.NewBus(ck.img.Fork())
-			if res, ok := r.runForked(leon3.New(bus, r.prog.Entry), bus, ck, e); ok {
-				return res
-			}
-		}
-		core, bus := r.freshCore()
-		return r.runFromReset(core, bus, e)
-	}
-
 	eng := r.getEngine()
 	defer r.engines.Put(eng)
 	core := eng.core
@@ -527,10 +510,11 @@ func (r *Runner) CampaignContext(ctx context.Context, exps []Experiment, workers
 //
 // The dispatch granule is one batch of up to 64 experiments under the
 // bit-parallel engine (see batch.go), or one experiment when batching is
-// off. A stop or cancellation therefore overshoots by at most one batch
-// per worker; every experiment a finished granule covered is tallied and
-// reported, so the stop rule's decisions remain a function of completed
-// experiment counts only.
+// off. Every batch of the call resolves its lanes from one witnessed
+// golden pass, run before dispatch. A stop or cancellation therefore
+// overshoots by at most one batch per worker; every experiment a
+// finished granule covered is tallied and reported, so the stop rule's
+// decisions remain a function of completed experiment counts only.
 //
 // The returned ran bitmap marks which experiments actually executed, so
 // callers of a stopped or cancelled campaign can distinguish a completed
@@ -569,13 +553,14 @@ func (r *Runner) CampaignStopContext(ctx context.Context, exps []Experiment, wor
 		}
 	}
 	plan := r.planBatches(exps)
+	pass := r.witnessPass(exps, plan)
 	err := runIndexed(cctx, len(plan), workers, func(pi int) {
 		item := plan[pi]
 		if item.lanes == nil {
 			deliver(item.idx, r.RunOne(exps[item.idx]))
 			return
 		}
-		for j, res := range r.runBatch(exps, item.lanes) {
+		for j, res := range r.runBatch(pass, exps, item.lanes) {
 			deliver(item.lanes[j], res)
 		}
 	})

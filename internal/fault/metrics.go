@@ -15,8 +15,8 @@ type engineMetrics struct {
 	experiments *obs.Counter
 	// lanesPlanned/Activated/Free follow the PPSFP funnel: lanes placed
 	// into batch granules, lanes whose fault was read divergently during
-	// the witnessed pass, and lanes finalized from the golden trajectory
-	// without a single faulted cycle.
+	// their campaign call's witnessed pass, and lanes finalized from the
+	// golden trajectory without a single faulted cycle.
 	lanesPlanned   *obs.Counter
 	lanesActivated *obs.Counter
 	lanesFree      *obs.Counter
@@ -26,6 +26,9 @@ type engineMetrics struct {
 	// fallbacks counts experiments resolved through runScalarFallback —
 	// nonzero only when a witnessed pass failed to set up.
 	fallbacks *obs.Counter
+	// witnessPasses counts witnessed golden passes: one per campaign call
+	// whose plan holds at least one batch, shared by all of its batches.
+	witnessPasses *obs.Counter
 	// goldenCycles/goldenSeconds accumulate witnessed golden-pass work;
 	// their rate quotient is the engine's golden-pass cycles/s.
 	goldenCycles  *obs.Counter
@@ -40,16 +43,18 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		lanesPlanned: r.Counter("engine_batch_lanes_planned_total",
 			"Experiments placed into bit-parallel batch lanes."),
 		lanesActivated: r.Counter("engine_batch_lanes_activated_total",
-			"Batch lanes whose fault was read divergently during the witnessed pass."),
+			"Batch lanes whose fault was read divergently during their campaign call's witnessed pass."),
 		lanesFree: r.Counter("engine_batch_lanes_free_total",
 			"Batch lanes finalized from the golden trajectory without scalar simulation."),
 		snapshots: r.Counter("engine_snapshot_materializations_total",
 			"Lane materializations replayed from periodic golden-pass snapshots."),
 		fallbacks: r.Counter("engine_scalar_fallbacks_total",
 			"Experiments resolved through the scalar fallback after a batch pass setup failure."),
+		witnessPasses: r.Counter("engine_witness_passes_total",
+			"Witnessed golden passes: one per campaign call with at least one batch, shared by all of its batches."),
 		goldenCycles: r.Counter("engine_golden_pass_cycles_total",
-			"Cycles simulated by witnessed golden passes."),
+			"Cycles simulated by witnessed golden passes (one per campaign call with at least one batch)."),
 		goldenSeconds: r.Counter("engine_golden_pass_seconds_total",
-			"Wall-clock seconds spent in witnessed golden passes."),
+			"Wall-clock seconds spent in witnessed golden passes (one per campaign call with at least one batch)."),
 	}
 }

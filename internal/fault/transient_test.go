@@ -81,9 +81,8 @@ func TestScheduleTransientsDeterministic(t *testing.T) {
 }
 
 // TestTransientEngineEquivalence extends the engine contract to the
-// transient models: pooled-checkpointed, fork-per-experiment and both
-// from-reset engines must classify a scheduled BitFlip/SETPulse campaign
-// bit-identically.
+// transient models: the checkpointed and from-reset engines must
+// classify a scheduled BitFlip/SETPulse campaign bit-identically.
 func TestTransientEngineEquivalence(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -94,9 +93,7 @@ func TestTransientEngineEquivalence(t *testing.T) {
 		opts Options
 	}{
 		{"pooled-checkpointed", Options{InjectAtFraction: 0.3, PulseCycles: 3}},
-		{"fork-per-experiment", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoPool: true}},
 		{"pooled-from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true}},
-		{"unpooled-from-reset", Options{InjectAtFraction: 0.3, PulseCycles: 3, NoCheckpoint: true, NoPool: true}},
 	}
 	var ref []Result
 	for _, eng := range engines {
@@ -112,15 +109,7 @@ func TestTransientEngineEquivalence(t *testing.T) {
 			ref = results
 			continue
 		}
-		if !reflect.DeepEqual(ref, results) {
-			for i := range ref {
-				if !reflect.DeepEqual(ref[i], results[i]) {
-					t.Errorf("%s: experiment %d (%v@%d) diverged: %+v vs %+v",
-						eng.name, i, exps[i].Node.Node, exps[i].AtCycle, ref[i], results[i])
-				}
-			}
-			t.Fatalf("%s: results differ from %s", eng.name, engines[0].name)
-		}
+		diffResults(t, eng.name, exps, ref, results)
 	}
 }
 
