@@ -27,22 +27,19 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
+
+	"repro/internal/smoketest"
 )
 
 // spec is sized so three kill/restart cycles fit comfortably inside the
@@ -95,18 +92,11 @@ func run(rng *rand.Rand) error {
 	}
 	defer os.RemoveAll(dir)
 
-	serverBin := filepath.Join(dir, "faultserverd")
-	cliBin := filepath.Join(dir, "faultcampaign")
-	for bin, pkg := range map[string]string{
-		serverBin: "./cmd/faultserverd",
-		cliBin:    "./cmd/faultcampaign",
-	} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building %s: %w", pkg, err)
-		}
+	bins, err := smoketest.Build(dir, "./cmd/faultserverd", "./cmd/faultcampaign")
+	if err != nil {
+		return err
 	}
+	serverBin, cliBin := bins[0], bins[1]
 
 	dataDir := filepath.Join(dir, "data")
 	journal := filepath.Join(dataDir, "journal.ndjson")
@@ -114,7 +104,7 @@ func run(rng *rand.Rand) error {
 	// The coordinator must come back on the same address after each
 	// SIGKILL so the workers' configured URL stays valid: reserve a free
 	// port once and reuse it for every boot.
-	addr, err := reservePort()
+	addr, err := smoketest.ReservePort()
 	if err != nil {
 		return err
 	}
@@ -136,8 +126,7 @@ func run(rng *rand.Rand) error {
 	workers := make(map[int]*exec.Cmd)
 	defer func() {
 		for _, w := range workers {
-			w.Process.Signal(syscall.SIGTERM)
-			w.Wait()
+			smoketest.Stop(w)
 		}
 	}()
 	startWorker := func(i int) error {
@@ -159,7 +148,7 @@ func run(rng *rand.Rand) error {
 	logger.Info("workers pulling shards", "workers", 3, "coordinator", base)
 
 	body, _ := json.Marshal(spec)
-	id, code, err := submit(base, body)
+	id, code, err := smoketest.Submit(base, body)
 	if err != nil {
 		return err
 	}
@@ -204,7 +193,7 @@ func run(rng *rand.Rand) error {
 		// resubmission coalesces onto the recovered job (or, if the last
 		// shard squeaked in pre-kill, hits the on-disk result store) —
 		// either way HTTP 200, never a fresh 201.
-		rid, rcode, err := submit(base, body)
+		rid, rcode, err := smoketest.Submit(base, body)
 		if err != nil {
 			return fmt.Errorf("cycle %d resubmit: %w", cycle, err)
 		}
@@ -219,7 +208,7 @@ func run(rng *rand.Rand) error {
 	if err := waitDone(base, id, 120*time.Second); err != nil {
 		return err
 	}
-	crashed, err := getBytes(base + "/api/v1/campaigns/" + id + "/result")
+	crashed, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + id + "/result")
 	if err != nil {
 		return err
 	}
@@ -227,11 +216,9 @@ func run(rng *rand.Rand) error {
 
 	// The thrice-crashed merged outcome must be byte-identical to the
 	// undisturbed, unsharded CLI run of the same spec.
-	cli := exec.Command(cliBin, cliArgs...)
-	cli.Stderr = os.Stderr
-	undisturbed, err := cli.Output()
+	undisturbed, err := smoketest.RunCLI(cliBin, cliArgs...)
 	if err != nil {
-		return fmt.Errorf("faultcampaign -json: %w", err)
+		return err
 	}
 	if !bytes.Equal(crashed, undisturbed) {
 		return fmt.Errorf("crash-recovered result and undisturbed faultcampaign -json diverge:\n--- crashed\n%s\n--- undisturbed\n%s", crashed, undisturbed)
@@ -246,7 +233,7 @@ func run(rng *rand.Rand) error {
 	if coord, err = startCoordinator(serverBin, addr, dataDir); err != nil {
 		return fmt.Errorf("final restart: %w", err)
 	}
-	fid, fcode, err := submit(base, body)
+	fid, fcode, err := smoketest.Submit(base, body)
 	if err != nil {
 		return err
 	}
@@ -256,7 +243,7 @@ func run(rng *rand.Rand) error {
 	var st struct {
 		State string `json:"state"`
 	}
-	if err := getJSON(base+"/api/v1/campaigns/"+fid, &st); err != nil {
+	if err := smoketest.GetJSON(base+"/api/v1/campaigns/"+fid, &st); err != nil {
 		return err
 	}
 	if st.State != "done" {
@@ -268,13 +255,13 @@ func run(rng *rand.Rand) error {
 			CacheHits int `json:"cache_hits"`
 		} `json:"stats"`
 	}
-	if err := getJSON(base+"/api/v1/healthz", &health); err != nil {
+	if err := smoketest.GetJSON(base+"/api/v1/healthz", &health); err != nil {
 		return err
 	}
 	if health.Stats.Executed != 0 || health.Stats.CacheHits < 1 {
 		return fmt.Errorf("fresh coordinator stats %+v: want 0 executions, >=1 cache hit", health.Stats)
 	}
-	stored, err := getBytes(base + "/api/v1/campaigns/" + fid + "/result")
+	stored, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + fid + "/result")
 	if err != nil {
 		return err
 	}
@@ -291,33 +278,15 @@ func run(rng *rand.Rand) error {
 func startCoordinator(bin, addr, dataDir string) (*exec.Cmd, error) {
 	var lastErr error
 	for attempt := 0; attempt < 20; attempt++ {
-		cmd := exec.Command(bin, "-addr", addr, "-jobs", "1",
+		cmd, _, err := smoketest.StartServer(bin, "-addr", addr, "-jobs", "1",
 			"-shards", "24", "-shard-local-workers=-1", "-shard-lease-ttl", "5s",
 			"-data-dir", dataDir)
-		cmd.Stderr = os.Stderr
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		bound := false
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "listening on ") {
-				bound = true
-				break
-			}
-		}
-		if !bound { // bind failed (address still in TIME_WAIT teardown)
-			cmd.Wait()
-			lastErr = fmt.Errorf("coordinator on %s never bound", addr)
+		if err != nil { // bind failed (address still in TIME_WAIT teardown)
+			lastErr = err
 			time.Sleep(100 * time.Millisecond)
 			continue
 		}
-		go io.Copy(io.Discard, stdout)
-		if err := waitReady("http://" + addr); err != nil {
+		if err := smoketest.WaitOK("http://" + addr + "/readyz"); err != nil {
 			cmd.Process.Kill()
 			cmd.Wait()
 			return nil, err
@@ -325,19 +294,6 @@ func startCoordinator(bin, addr, dataDir string) (*exec.Cmd, error) {
 		return cmd, nil
 	}
 	return nil, lastErr
-}
-
-// reservePort grabs a free loopback port and releases it for the
-// coordinator to claim. The tiny reuse race is acceptable in a smoke
-// test; startCoordinator retries the bind regardless.
-func reservePort() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
 }
 
 // countShardRecords counts durably journaled shard completions. It
@@ -368,7 +324,7 @@ func waitDone(base, id string, timeout time.Duration) error {
 		var st struct {
 			State string `json:"state"`
 		}
-		if err := getJSON(base+"/api/v1/campaigns/"+id, &st); err == nil {
+		if err := smoketest.GetJSON(base+"/api/v1/campaigns/"+id, &st); err == nil {
 			switch st.State {
 			case "done":
 				return nil
@@ -379,58 +335,4 @@ func waitDone(base, id string, timeout time.Duration) error {
 		time.Sleep(100 * time.Millisecond)
 	}
 	return fmt.Errorf("campaign not done within %s", timeout)
-}
-
-func waitReady(base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return fmt.Errorf("coordinator never became ready")
-}
-
-func submit(base string, body []byte) (id string, code int, err error) {
-	resp, err := http.Post(base+"/api/v1/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		ID string `json:"id"`
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return "", resp.StatusCode, fmt.Errorf("submit response %q: %w", b, err)
-	}
-	return st.ID, resp.StatusCode, nil
-}
-
-func getBytes(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-func getJSON(url string, v interface{}) error {
-	b, err := getBytes(url)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }

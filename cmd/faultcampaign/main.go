@@ -13,10 +13,12 @@
 // deterministically per experiment from -seed over the window between
 // the fixed injection instant and the end of the golden run.
 //
-// With -json the campaign is executed through the same canonical path the
-// campaign job server uses and the result is emitted in the service's
-// deterministic encoding, so CLI output and `faultserverd` responses are
-// byte-for-byte diffable for the same spec.
+// Every mode runs the campaign through the job service's execution path
+// (a jobs.Request planned, executed and assembled into the canonical
+// outcome); the flags only choose how that outcome is printed. With
+// -json it is emitted in the service's deterministic encoding, so CLI
+// output and `faultserverd` responses are byte-for-byte diffable for the
+// same spec; without it the same outcome is rendered as a report.
 //
 // -shards N executes the campaign as N deterministic experiment-range
 // shards on in-process workers (one binary, no daemon); results are
@@ -69,148 +71,63 @@ func main() {
 	flag.Var(aliasValue{model}, "models", "alias for -model (comma-separated fault model list)")
 	flag.Parse()
 
-	if *asJSON || *shards > 1 || *epsilon > 0 || *engine != "rtl" {
-		// The -iters flag defaults to 2 for the human-readable campaign,
-		// but an HTTP submission that omits "iterations" means 0
-		// (workload default). For byte-parity with the server, -json maps
-		// an unset flag to 0 too; an explicit -iters still wins. The
-		// human-readable sharded/adaptive path keeps the CLI default so
-		// `-shards`/`-epsilon` never change which campaign runs.
-		jsonIters := *iters
-		if *asJSON {
-			jsonIters = 0
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "iters" {
-					jsonIters = *iters
-				}
-			})
-		}
-		req := jobs.Request{
-			Workload:         *name,
-			Iterations:       jsonIters,
-			Dataset:          *dataset,
-			Target:           *target,
-			Nodes:            *nodes,
-			Seed:             *seed,
-			InjectAtCycle:    *inject,
-			InjectAtFraction: *injfrac,
-			NoCheckpoint:     *noCkpt,
-			NoBatch:          *noBatch,
-			Epsilon:          *epsilon,
-			Engine:           *engine,
-			RTLAudit:         *audit,
-			Confidence:       *conf,
-		}
-		if *model != "all" {
-			// Unknown names are rejected by the request normalization
-			// inside Execute, keeping one canonical model list.
-			req.Models = splitModels(*model)
-		}
-		req.PulseCycles = *pulse
-		t0 := time.Now()
-		var out *jobs.Outcome
-		var err error
-		if *shards > 1 {
-			// Sharded in-process execution: byte-identical to unsharded
-			// (sharding is scheduling, not content).
-			out, err = jobs.ExecuteSharded(context.Background(), req, *shards, *workers, nil)
-		} else {
-			out, err = jobs.Execute(context.Background(), req, *workers, nil)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *asJSON {
-			if err := jobs.EncodeOutcome(os.Stdout, out); err != nil {
-				log.Fatal(err)
+	// The -iters flag defaults to 2 for the human-readable campaign, but
+	// an HTTP submission that omits "iterations" means 0 (workload
+	// default). For byte-parity with the server, -json maps an unset flag
+	// to 0 too; an explicit -iters still wins. The human-readable modes
+	// keep the CLI default so -shards/-epsilon never change which
+	// campaign runs.
+	its := *iters
+	if *asJSON {
+		its = 0
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "iters" {
+				its = *iters
 			}
-			return
-		}
-		renderOutcome(out, *shards, time.Since(t0))
-		return
+		})
 	}
-
-	spec := core.CampaignSpec{
+	req := jobs.Request{
+		Workload:         *name,
+		Iterations:       its,
+		Dataset:          *dataset,
+		Target:           *target,
 		Nodes:            *nodes,
 		Seed:             *seed,
-		Workers:          *workers,
 		InjectAtCycle:    *inject,
 		InjectAtFraction: *injfrac,
 		PulseCycles:      *pulse,
 		NoCheckpoint:     *noCkpt,
 		NoBatch:          *noBatch,
-	}
-	switch *target {
-	case "iu":
-		spec.Target = core.TargetIU
-	case "cmem":
-		spec.Target = core.TargetCMEM
-	default:
-		log.Fatalf("unknown target %q", *target)
+		Epsilon:          *epsilon,
+		Engine:           *engine,
+		RTLAudit:         *audit,
+		Confidence:       *conf,
 	}
 	if *model != "all" {
-		// Mirror the service path's validation: a duplicate model would
-		// run every experiment twice and falsely tighten the Wilson
-		// interval (2N dependent trials reported as independent).
-		seen := map[string]bool{}
-		for _, name := range splitModels(*model) {
-			m, ok := modelByName[name]
-			if !ok {
-				log.Fatalf("unknown model %q (want sa0, sa1, open, seu, set or all)", name)
-			}
-			if seen[name] {
-				log.Fatalf("duplicate fault model %q", name)
-			}
-			seen[name] = true
-			spec.Models = append(spec.Models, m)
-		}
-	}
-
-	w, err := core.BuildWorkload(*name, core.WorkloadConfig{Iterations: *iters, Dataset: *dataset})
-	if err != nil {
-		log.Fatal(err)
+		// Unknown and duplicate names are rejected by the request
+		// normalization inside Execute, keeping one canonical model list.
+		req.Models = splitModels(*model)
 	}
 	t0 := time.Now()
-	res, err := core.RunCampaign(w, spec)
+	var out *jobs.Outcome
+	var err error
+	if *shards > 1 {
+		// Sharded in-process execution: byte-identical to unsharded
+		// (sharding is scheduling, not content).
+		out, err = jobs.ExecuteSharded(context.Background(), req, *shards, *workers, nil)
+	} else {
+		out, err = jobs.Execute(context.Background(), req, *workers, nil)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("workload:   %s, target %v, %d injections in %.1fs\n",
-		w.Name, spec.Target, res.Injections, time.Since(t0).Seconds())
-	mode := "from-reset re-simulation"
-	if res.Checkpointed {
-		mode = "golden-run forking (warm-up prefix simulated once)"
+	if *asJSON {
+		if err := jobs.EncodeOutcome(os.Stdout, out); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
-	fmt.Printf("engine:     %s, golden run %d cycles\n", mode, res.GoldenCycles)
-	fmt.Printf("Pf:         %s of faults propagated to failures (95%% CI %s..%s, Wilson)\n",
-		report.Percent(res.Pf), report.Percent(res.PfLow), report.Percent(res.PfHigh))
-	if res.MaxLatencyCycles >= 0 {
-		fmt.Printf("latency:    max detection latency %d cycles\n", res.MaxLatencyCycles)
-	}
-
-	counts := fault.OutcomeCounts(res.Results)
-	outs := make([]fault.Outcome, 0, len(counts))
-	for o := range counts {
-		outs = append(outs, o)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	fmt.Printf("outcomes:  ")
-	for _, o := range outs {
-		fmt.Printf(" %v=%d", o, counts[o])
-	}
-	fmt.Println()
-
-	tab := &report.Table{Title: "per-unit Pf (Pmf of Equation 1)", Columns: []string{"unit", "Pf"}}
-	units := make([]sparc.Unit, 0, len(res.PfByUnit))
-	for u := range res.PfByUnit {
-		units = append(units, u)
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	for _, u := range units {
-		tab.AddRow(u.String(), report.Percent(res.PfByUnit[u]))
-	}
-	fmt.Print(tab.String())
+	renderOutcome(out, *shards, time.Since(t0))
 }
 
 // aliasValue lets -models share the -model flag's storage.
@@ -224,16 +141,6 @@ func (a aliasValue) String() string {
 }
 func (a aliasValue) Set(v string) error { *a.s = v; return nil }
 
-// modelByName maps CLI model names onto core fault models for the
-// raw-results path; the service path defers to jobs.Request validation.
-var modelByName = map[string]core.FaultModel{
-	"sa0":  core.StuckAt0,
-	"sa1":  core.StuckAt1,
-	"open": core.OpenLine,
-	"seu":  core.BitFlip,
-	"set":  core.SETPulse,
-}
-
 // splitModels turns a comma-separated -model value into the service's
 // model-name list, trimming blanks so "sa1, seu" parses.
 func splitModels(v string) []string {
@@ -246,9 +153,8 @@ func splitModels(v string) []string {
 	return out
 }
 
-// renderOutcome prints the human-readable summary of a service-path
-// campaign (sharded and/or adaptive executions go through the canonical
-// outcome rather than raw engine results).
+// renderOutcome prints the human-readable summary of a campaign's
+// canonical outcome.
 func renderOutcome(out *jobs.Outcome, shards int, elapsed time.Duration) {
 	fmt.Printf("workload:   %s, target %s, %d injections in %.1fs",
 		out.Request.Workload, strings.ToUpper(out.Request.Target), out.Injections, elapsed.Seconds())
@@ -294,9 +200,8 @@ func renderOutcome(out *jobs.Outcome, shards int, elapsed time.Duration) {
 		}
 		fmt.Print(tab.String())
 	}
-	// Sort outcome and unit names in their enum order, exactly like the
-	// raw-results path above: adding -shards or -epsilon must not reorder
-	// any output line.
+	// Sort outcome and unit names in their enum order: the wire encoding
+	// keys them by name, but the report lists them in engine order.
 	keys := make([]string, 0, len(out.Outcomes))
 	for k := range out.Outcomes {
 		keys = append(keys, k)
@@ -320,8 +225,7 @@ func renderOutcome(out *jobs.Outcome, shards int, elapsed time.Duration) {
 }
 
 // outcomeRank and unitRank map the service's wire names back onto their
-// enum order so sharded/adaptive renderings sort like the raw-results
-// path.
+// enum order.
 func outcomeRank() map[string]int {
 	r := map[string]int{}
 	for o := fault.OutcomeNoEffect; o <= fault.OutcomeHang; o++ {

@@ -29,12 +29,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/jobs"
+
+	"repro/internal/smoketest"
 )
 
 // contractReq is the in-process routing-contract campaign: three
@@ -80,21 +80,20 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "faultcampaign")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/faultcampaign")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("building faultcampaign: %w", err)
+	bins, err := smoketest.Build(dir, "./cmd/faultcampaign")
+	if err != nil {
+		return err
 	}
+	bin := bins[0]
 
 	// Full-audit collapse: hybrid with -rtl-audit 1.0 == pure RTL, byte
 	// for byte. The hybrid spelling must also shed its accounting block
 	// (a collapsed campaign has no router to account for).
-	pure, err := campaign(bin, cliArgs()...)
+	pure, err := smoketest.RunCLI(bin, cliArgs()...)
 	if err != nil {
 		return err
 	}
-	full, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "1.0")...)
+	full, err := smoketest.RunCLI(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "1.0")...)
 	if err != nil {
 		return err
 	}
@@ -107,14 +106,14 @@ func run() error {
 	log.Printf("full-audit collapse: hybrid -rtl-audit 1.0 == pure RTL (%d identical bytes)", len(pure))
 
 	// Shard invariance: the same hybrid campaign, unsharded vs 3 shards.
-	un, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5")...)
+	un, err := smoketest.RunCLI(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5")...)
 	if err != nil {
 		return err
 	}
 	if !strings.Contains(string(un), `"hybrid"`) {
 		return fmt.Errorf("hybrid campaign JSON carries no hybrid accounting block")
 	}
-	sh, err := campaign(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5", "-shards", "3")...)
+	sh, err := smoketest.RunCLI(bin, cliArgs("-engine", "hybrid", "-rtl-audit", "0.5", "-shards", "3")...)
 	if err != nil {
 		return err
 	}
@@ -123,18 +122,6 @@ func run() error {
 	}
 	log.Printf("shard invariance: 3-way sharded hybrid == unsharded (%d identical bytes)", len(un))
 	return nil
-}
-
-// campaign runs the built CLI once and returns its stdout.
-func campaign(bin string, args ...string) ([]byte, error) {
-	cmd := exec.Command(bin, args...)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("%s %s: %w", filepath.Base(bin), strings.Join(args, " "), err)
-	}
-	return out.Bytes(), nil
 }
 
 // contract executes the hybrid campaign in-process and audits the

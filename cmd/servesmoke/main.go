@@ -21,15 +21,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
+
+	"repro/internal/smoketest"
 )
 
 // spec is the one small campaign the smoke submits: excerptA's golden run
@@ -65,63 +63,39 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	serverBin := filepath.Join(dir, "faultserverd")
-	cliBin := filepath.Join(dir, "faultcampaign")
-	for bin, pkg := range map[string]string{
-		serverBin: "./cmd/faultserverd",
-		cliBin:    "./cmd/faultcampaign",
-	} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building %s: %w", pkg, err)
-		}
+	bins, err := smoketest.Build(dir, "./cmd/faultserverd", "./cmd/faultcampaign")
+	if err != nil {
+		return err
 	}
+	serverBin, cliBin := bins[0], bins[1]
 
 	// Boot the daemon on an ephemeral port and scrape the bound address.
 	// Sharded + durable so the shard-pool and store metric families are
 	// exercised too; neither changes result bytes.
-	srv := exec.Command(serverBin, "-addr", "127.0.0.1:0", "-jobs", "1",
+	srv, base, err := smoketest.StartServer(serverBin, "-addr", "127.0.0.1:0", "-jobs", "1",
 		"-shards", "2", "-data-dir", filepath.Join(dir, "data"))
-	srv.Stderr = os.Stderr
-	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}()
-	var base string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if i := strings.Index(sc.Text(), "listening on "); i >= 0 {
-			base = strings.TrimSpace(sc.Text()[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		return fmt.Errorf("server never reported its address")
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	defer smoketest.Stop(srv)
 	log.Printf("server at %s", base)
-	if err := waitReady(base); err != nil {
+	// Readiness, not liveness: /readyz answers 503 until the daemon has
+	// finished opening its data dir and replaying any journal, so a
+	// durable server is only used once recovery is complete.
+	if err := smoketest.WaitOK(base + "/readyz"); err != nil {
 		return err
 	}
 
 	// Submit the campaign twice.
 	body, _ := json.Marshal(spec)
-	id1, code1, err := submit(base, body)
+	id1, code1, err := smoketest.Submit(base, body)
 	if err != nil {
 		return err
 	}
 	if code1 != http.StatusCreated {
 		return fmt.Errorf("first submission: HTTP %d, want 201", code1)
 	}
-	id2, code2, err := submit(base, body)
+	id2, code2, err := smoketest.Submit(base, body)
 	if err != nil {
 		return err
 	}
@@ -140,26 +114,15 @@ func run() error {
 	}
 
 	// Stream progress until the job is terminal.
-	sresp, err := http.Get(base + "/api/v1/campaigns/" + id1 + "/stream")
-	if err != nil {
-		return err
-	}
-	defer sresp.Body.Close()
-	var lastLine []byte
-	lines := 0
-	ssc := bufio.NewScanner(sresp.Body)
-	for ssc.Scan() {
-		lastLine = append(lastLine[:0], ssc.Bytes()...)
-		lines++
-	}
 	var last struct {
 		State string  `json:"state"`
 		Done  int     `json:"done"`
 		Total int     `json:"total"`
 		Pf    float64 `json:"pf"`
 	}
-	if err := json.Unmarshal(lastLine, &last); err != nil {
-		return fmt.Errorf("bad NDJSON tail %q: %w", lastLine, err)
+	lines, err := smoketest.StreamToEnd(base, id1, &last)
+	if err != nil {
+		return err
 	}
 	if last.State != "done" {
 		return fmt.Errorf("job ended %q after %d snapshots", last.State, lines)
@@ -174,7 +137,7 @@ func run() error {
 			Submitted int `json:"submitted"`
 		} `json:"stats"`
 	}
-	if err := getJSON(base+"/api/v1/healthz", &health); err != nil {
+	if err := smoketest.GetJSON(base+"/api/v1/healthz", &health); err != nil {
 		return err
 	}
 	if health.Stats.Executed != 1 || health.Stats.Submitted != 2 {
@@ -182,11 +145,11 @@ func run() error {
 	}
 
 	// Both result fetches must be byte-identical...
-	res1, err := getBytes(base + "/api/v1/campaigns/" + id1 + "/result")
+	res1, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + id1 + "/result")
 	if err != nil {
 		return err
 	}
-	res2, err := getBytes(base + "/api/v1/campaigns/" + id1 + "/result")
+	res2, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + id1 + "/result")
 	if err != nil {
 		return err
 	}
@@ -195,11 +158,9 @@ func run() error {
 	}
 
 	// ...and byte-identical to `faultcampaign -json` for the same spec.
-	cli := exec.Command(cliBin, cliArgs...)
-	cli.Stderr = os.Stderr
-	cliOut, err := cli.Output()
+	cliOut, err := smoketest.RunCLI(cliBin, cliArgs...)
 	if err != nil {
-		return fmt.Errorf("faultcampaign -json: %w", err)
+		return err
 	}
 	if !bytes.Equal(res1, cliOut) {
 		return fmt.Errorf("server result and faultcampaign -json diverge:\n--- server\n%s\n--- cli\n%s", res1, cliOut)
@@ -330,61 +291,4 @@ func checkMetrics(mid, final metrics) error {
 		return fmt.Errorf("store_results = %v, want 1", v)
 	}
 	return nil
-}
-
-// waitReady polls the readiness probe, not liveness: /readyz answers 503
-// until the daemon has finished opening its data dir and replaying any
-// journal, so a durable server is only used once recovery is complete.
-func waitReady(base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("server never became ready")
-}
-
-func submit(base string, body []byte) (id string, code int, err error) {
-	resp, err := http.Post(base+"/api/v1/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		ID string `json:"id"`
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return "", resp.StatusCode, fmt.Errorf("submit response %q: %w", b, err)
-	}
-	return st.ID, resp.StatusCode, nil
-}
-
-func getBytes(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-func getJSON(url string, v interface{}) error {
-	b, err := getBytes(url)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }

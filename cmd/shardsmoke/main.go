@@ -14,19 +14,16 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
-	"syscall"
-	"time"
+
+	"repro/internal/smoketest"
 )
 
 // spec is the Figure-4-sized campaign: rspeed at 2 kernel iterations
@@ -90,49 +87,22 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	serverBin := filepath.Join(dir, "faultserverd")
-	cliBin := filepath.Join(dir, "faultcampaign")
-	for bin, pkg := range map[string]string{
-		serverBin: "./cmd/faultserverd",
-		cliBin:    "./cmd/faultcampaign",
-	} {
-		build := exec.Command("go", "build", "-o", bin, pkg)
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building %s: %w", pkg, err)
-		}
-	}
-
-	// Coordinator: 6 shards per campaign, no local shard execution — all
-	// work must flow over the HTTP shard surface to the workers.
-	srv := exec.Command(serverBin, "-addr", "127.0.0.1:0", "-jobs", "1",
-		"-shards", "6", "-shard-local-workers=-1", "-shard-lease-ttl", "30s")
-	srv.Stderr = os.Stderr
-	stdout, err := srv.StdoutPipe()
+	bins, err := smoketest.Build(dir, "./cmd/faultserverd", "./cmd/faultcampaign")
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(); err != nil {
+	serverBin, cliBin := bins[0], bins[1]
+
+	// Coordinator: 6 shards per campaign, no local shard execution — all
+	// work must flow over the HTTP shard surface to the workers.
+	srv, base, err := smoketest.StartServer(serverBin, "-addr", "127.0.0.1:0", "-jobs", "1",
+		"-shards", "6", "-shard-local-workers=-1", "-shard-lease-ttl", "30s")
+	if err != nil {
 		return err
 	}
-	defer func() {
-		srv.Process.Signal(syscall.SIGTERM)
-		srv.Wait()
-	}()
-	var base string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if i := strings.Index(sc.Text(), "listening on "); i >= 0 {
-			base = strings.TrimSpace(sc.Text()[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		return fmt.Errorf("coordinator never reported its address")
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	defer smoketest.Stop(srv)
 	log.Printf("coordinator at %s", base)
-	if err := waitHealthy(base); err != nil {
+	if err := smoketest.WaitOK(base + "/api/v1/healthz"); err != nil {
 		return err
 	}
 
@@ -140,8 +110,7 @@ func run() error {
 	var workers []*exec.Cmd
 	defer func() {
 		for _, w := range workers {
-			w.Process.Signal(syscall.SIGTERM)
-			w.Wait()
+			smoketest.Stop(w)
 		}
 	}()
 	for i := 1; i <= 3; i++ {
@@ -157,28 +126,31 @@ func run() error {
 
 	// Submit the campaign and stream progress until terminal.
 	body, _ := json.Marshal(spec)
-	id, code, err := submit(base, body)
+	id, code, err := smoketest.Submit(base, body)
 	if err != nil {
 		return err
 	}
 	if code != http.StatusCreated {
 		return fmt.Errorf("submission: HTTP %d, want 201", code)
 	}
-	state, snapshots, err := streamToEnd(base, id)
+	var last struct {
+		State string `json:"state"`
+	}
+	snapshots, err := smoketest.StreamToEnd(base, id, &last)
 	if err != nil {
 		return err
 	}
-	if state != "done" {
-		return fmt.Errorf("job ended %q after %d snapshots", state, snapshots)
+	if last.State != "done" {
+		return fmt.Errorf("job ended %q after %d snapshots", last.State, snapshots)
 	}
 	log.Printf("sharded campaign done after %d progress snapshots", snapshots)
 
 	// The distributed result must be byte-identical to the unsharded CLI.
-	serverRes, err := getBytes(base + "/api/v1/campaigns/" + id + "/result")
+	serverRes, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + id + "/result")
 	if err != nil {
 		return err
 	}
-	unsharded, err := runCLI(cliBin, cliArgs("iu")...)
+	unsharded, err := smoketest.RunCLI(cliBin, cliArgs("iu")...)
 	if err != nil {
 		return err
 	}
@@ -192,11 +164,11 @@ func run() error {
 	for _, target := range []string{"iu", "cmem"} {
 		want := unsharded
 		if target == "cmem" {
-			if want, err = runCLI(cliBin, cliArgs(target)...); err != nil {
+			if want, err = smoketest.RunCLI(cliBin, cliArgs(target)...); err != nil {
 				return err
 			}
 		}
-		sharded, err := runCLI(cliBin, cliArgs(target, "-shards", "3")...)
+		sharded, err := smoketest.RunCLI(cliBin, cliArgs(target, "-shards", "3")...)
 		if err != nil {
 			return err
 		}
@@ -210,32 +182,32 @@ func run() error {
 	// and SET pulses, whose per-experiment injection cycles must come out
 	// identical no matter which worker executes which shard.
 	tbody, _ := json.Marshal(transientSpec)
-	tid, tcode, err := submit(base, tbody)
+	tid, tcode, err := smoketest.Submit(base, tbody)
 	if err != nil {
 		return err
 	}
 	if tcode != http.StatusCreated {
 		return fmt.Errorf("transient submission: HTTP %d, want 201", tcode)
 	}
-	tstate, tsnaps, err := streamToEnd(base, tid)
+	tsnaps, err := smoketest.StreamToEnd(base, tid, &last)
 	if err != nil {
 		return err
 	}
-	if tstate != "done" {
-		return fmt.Errorf("transient job ended %q after %d snapshots", tstate, tsnaps)
+	if last.State != "done" {
+		return fmt.Errorf("transient job ended %q after %d snapshots", last.State, tsnaps)
 	}
-	tServer, err := getBytes(base + "/api/v1/campaigns/" + tid + "/result")
+	tServer, err := smoketest.GetBytes(base + "/api/v1/campaigns/" + tid + "/result")
 	if err != nil {
 		return err
 	}
-	tUnsharded, err := runCLI(cliBin, transientCliArgs()...)
+	tUnsharded, err := smoketest.RunCLI(cliBin, transientCliArgs()...)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(tServer, tUnsharded) {
 		return fmt.Errorf("distributed transient result and unsharded faultcampaign -json diverge:\n--- server\n%s\n--- cli\n%s", tServer, tUnsharded)
 	}
-	tSharded, err := runCLI(cliBin, transientCliArgs("-shards", "3")...)
+	tSharded, err := smoketest.RunCLI(cliBin, transientCliArgs("-shards", "3")...)
 	if err != nil {
 		return err
 	}
@@ -256,7 +228,7 @@ func run() error {
 			Workers   map[string]int `json:"workers"`
 		} `json:"shards"`
 	}
-	if err := getJSON(base+"/api/v1/healthz", &health); err != nil {
+	if err := smoketest.GetJSON(base+"/api/v1/healthz", &health); err != nil {
 		return err
 	}
 	if health.Shards.Planned != 12 || health.Shards.Completed != 12 {
@@ -274,89 +246,4 @@ func run() error {
 	}
 	log.Printf("shard accounting: %d leases across %d workers", total, len(health.Shards.Workers))
 	return nil
-}
-
-func runCLI(bin string, args ...string) ([]byte, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", filepath.Base(bin), strings.Join(args, " "), err)
-	}
-	return out, nil
-}
-
-func streamToEnd(base, id string) (state string, lines int, err error) {
-	resp, err := http.Get(base + "/api/v1/campaigns/" + id + "/stream")
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var lastLine []byte
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		lastLine = append(lastLine[:0], sc.Bytes()...)
-		lines++
-	}
-	var last struct {
-		State string `json:"state"`
-	}
-	if err := json.Unmarshal(lastLine, &last); err != nil {
-		return "", lines, fmt.Errorf("bad NDJSON tail %q: %w", lastLine, err)
-	}
-	return last.State, lines, nil
-}
-
-func waitHealthy(base string) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/api/v1/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("coordinator never became healthy")
-}
-
-func submit(base string, body []byte) (id string, code int, err error) {
-	resp, err := http.Post(base+"/api/v1/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		ID string `json:"id"`
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := json.Unmarshal(b, &st); err != nil {
-		return "", resp.StatusCode, fmt.Errorf("submit response %q: %w", b, err)
-	}
-	return st.ID, resp.StatusCode, nil
-}
-
-func getBytes(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-func getJSON(url string, v interface{}) error {
-	b, err := getBytes(url)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, v)
 }

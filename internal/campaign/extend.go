@@ -49,7 +49,11 @@ func ExtTransient(o Options, benchmark string) (*TransientResult, error) {
 	// Five instants spread across the golden run.
 	for _, frac := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
 		at := uint64(frac * float64(r.GoldenCycles))
-		results, err := r.TransientCampaignContext(o.ctx(), nodes, []uint64{at}, o.Workers)
+		flips := fault.Expand(nodes, rtl.BitFlip)
+		for i := range flips {
+			flips[i].AtCycle = at
+		}
+		results, err := r.CampaignContext(o.ctx(), flips, o.Workers, nil)
 		if err != nil {
 			return nil, err
 		}

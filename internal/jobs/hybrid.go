@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // This file implements the hybrid ISS-predicted, RTL-audited campaign
@@ -31,12 +29,12 @@ import (
 // is a pure function of the normalized request, so every shard — and
 // every remote worker process — computes the identical plan and each
 // experiment's final engine is a pure function of (request, absolute
-// index). In-process the plan is memoized; a remote worker pays the
-// plan once per process. The audit sample spans the whole campaign, so
-// a worker executing one shard still audits out-of-range experiments —
-// bounded duplicated work (rtl_audit of the campaign per worker
-// process), the price of keeping shard outputs order- and
-// partition-independent.
+// index). The plan is memoized per content address: the in-process
+// shard pool pays it once per campaign, a remote worker once per
+// process. The audit sample spans the whole campaign, so a worker
+// executing one shard still audits out-of-range experiments — bounded
+// duplicated work (rtl_audit of the campaign per worker process), the
+// price of keeping shard outputs order- and partition-independent.
 
 // minClassAudits is the smallest audit sample a node class may be
 // judged on; with fewer audited experiments the class escalates to RTL
@@ -51,40 +49,6 @@ const minClassAudits = 2
 // the decisions the router actually made.
 func escalateClass(pred, meas []bool, confidence float64) bool {
 	return len(pred) < minClassAudits || campaign.IndicatorR2(pred, meas) < confidence
-}
-
-// issRunnerFor resolves the memoized ISS campaign runner for a
-// normalized request, with the same detached-build cancellation
-// behaviour as runnerFor. cycleRef/fixedCycle pin the engine to the RTL
-// cycle timebase (hybrid); both zero select the native instruction
-// timebase (engine "iss").
-func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type built struct {
-		r   *fault.ISSRunner
-		err error
-	}
-	ch := make(chan built, 1)
-	go func() {
-		r, err := campaign.ISSRunnerFor(n.Workload,
-			workloads.Config{Iterations: n.Iterations, Dataset: n.Dataset},
-			fault.Options{
-				InjectAtCycle:    n.InjectAtCycle,
-				InjectAtFraction: n.InjectAtFraction,
-				PulseCycles:      n.PulseCycles,
-				NoCheckpoint:     n.NoCheckpoint,
-				Obs:              reg,
-			}, cycleRef, fixedCycle)
-		ch <- built{r, err}
-	}()
-	select {
-	case b := <-ch:
-		return b.r, b.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // routerMetrics counts the hybrid router's decisions. Registries dedupe
@@ -109,13 +73,11 @@ func newRouterMetrics(r *obs.Registry) routerMetrics {
 	}
 }
 
-// hybridPlan is the routing plan of one hybrid campaign: the shared RTL
-// runner, the deterministic expansion, the full ISS prediction pass,
-// the audit sample with its RTL results, and the escalation set. It is
-// a pure function of the normalized request.
+// hybridPlan is the routing plan of one hybrid campaign over its
+// campaignPlan's expansion: the full ISS prediction pass, the audit
+// sample with its RTL results, and the escalation set. It is a pure
+// function of the normalized request.
 type hybridPlan struct {
-	rtl       *fault.Runner
-	exps      []fault.Experiment
 	units     []string
 	pred      []fault.Result
 	audited   []bool
@@ -141,8 +103,8 @@ type planEntry struct {
 	err  error
 }
 
-func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registry) (*hybridPlan, error) {
-	key, err := keyOf(n)
+func hybridPlanFor(ctx context.Context, p *campaignPlan, workers int) (*hybridPlan, error) {
+	key, err := keyOf(p.req)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +125,7 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 	}
 	planCache.mu.Unlock()
 	if owner {
-		e.plan, e.err = buildHybridPlan(ctx, n, workers, reg)
+		e.plan, e.err = buildHybridPlan(ctx, p, workers)
 		if e.err != nil {
 			planCache.mu.Lock()
 			delete(planCache.m, key)
@@ -188,19 +150,16 @@ func hybridPlanFor(ctx context.Context, n Request, workers int, reg *obs.Registr
 
 // buildHybridPlan executes the routing plan's two phases: the full ISS
 // prediction pass and the RTL audit pass, then scores every node class.
-func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Registry) (*hybridPlan, error) {
-	rtlR, err := runnerFor(ctx, n, reg)
-	if err != nil {
-		return nil, err
-	}
-	exps := experimentsFor(rtlR, n)
+func buildHybridPlan(ctx context.Context, plan *campaignPlan, workers int) (*hybridPlan, error) {
+	n, exps := plan.req, plan.exps
+	rtlR := plan.engine.(*fault.Runner) // planCampaign's engine for hybrid requests
 	// Pin the ISS engine to the RTL cycle timebase so one experiment
 	// list — instants in RTL cycles — drives both engines.
-	issR, err := issRunnerFor(ctx, n, reg, rtlR.GoldenCycles, rtlR.InjectCycle())
+	issR, err := issRunnerFor(ctx, n, plan.reg, rtlR.GoldenCycles, rtlR.InjectCycle())
 	if err != nil {
 		return nil, err
 	}
-	met := newRouterMetrics(reg)
+	met := newRouterMetrics(plan.reg)
 	pred, _, err := issR.CampaignStopContext(ctx, exps, workers, nil, nil)
 	if err != nil {
 		return nil, err
@@ -277,8 +236,6 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 		}
 	}
 	return &hybridPlan{
-		rtl:       rtlR,
-		exps:      exps,
 		units:     units,
 		pred:      pred,
 		audited:   audited,
@@ -287,123 +244,49 @@ func buildHybridPlan(ctx context.Context, n Request, workers int, reg *obs.Regis
 	}, nil
 }
 
-// hybridOutcomes finalizes experiments [start,end) of a planned hybrid
-// campaign: escalated-class experiments that were not already audited
-// are re-run on RTL here (the only per-range engine work — predictions
-// and audits live in the plan), and every index is assembled into its
-// wire outcome. tap observes range-local completions against the range
-// size; escalations report live, plan-resolved entries are counted as
-// they are assembled.
-func hybridOutcomes(ctx context.Context, plan *hybridPlan, n Request, start, end, workers int, tap Tap, reg *obs.Registry) ([]ExperimentOutcome, error) {
-	total := end - start
-	var mu sync.Mutex
-	done, failures := 0, 0
-	if tap != nil {
-		tap(0, total, 0)
-	}
-	count := func(res fault.Result) {
-		if tap == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		tap(done, total, failures)
-		mu.Unlock()
-	}
-
-	var escIdx []int
+// escalations lists, in ascending order, the indices in [start,end)
+// that a range must itself re-run on RTL: the experiments of escalated
+// classes the audit pass has not already run. Predictions and audits
+// live in the plan, so these are a hybrid range's only engine work.
+func (h *hybridPlan) escalations(start, end int) []int {
+	var idx []int
 	for i := start; i < end; i++ {
-		if !plan.audited[i] && plan.escalated[plan.units[i]] {
-			escIdx = append(escIdx, i)
+		if !h.audited[i] && h.escalated[h.units[i]] {
+			idx = append(idx, i)
 		}
 	}
-	escExps := make([]fault.Experiment, len(escIdx))
-	for j, i := range escIdx {
-		escExps[j] = plan.exps[i]
-	}
-	escRes0, _, err := plan.rtl.CampaignStopContext(ctx, escExps, workers, func(j int, res fault.Result) {
-		count(res)
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	newRouterMetrics(reg).experiments.With("rtl").Add(float64(len(escIdx)))
-	escRes := make(map[int]fault.Result, len(escIdx))
-	for j, i := range escIdx {
-		escRes[i] = escRes0[j]
-	}
+	return idx
+}
 
-	outs := make([]ExperimentOutcome, 0, total)
+// rangeOutcomes assembles experiments [start,end) into their wire
+// outcomes: audited indices from the plan's audit pass, escalations
+// from esc (the range's RTL results, in escalations order), and every
+// other index from its trusted ISS prediction. count observes the
+// plan-resolved entries as they are assembled; escalations were counted
+// live as they ran.
+func (h *hybridPlan) rangeOutcomes(start, end int, esc []fault.Result, count func(fault.Result)) []ExperimentOutcome {
+	outs := make([]ExperimentOutcome, 0, end-start)
 	for i := start; i < end; i++ {
 		var eo ExperimentOutcome
 		switch {
-		case plan.audited[i]:
-			eo = experimentOutcome(plan.auditRes[i])
+		case h.audited[i]:
+			eo = experimentOutcome(h.auditRes[i])
 			eo.Engine, eo.Audited = "rtl", true
-			eo.Predicted = plan.pred[i].Outcome.String()
-			count(plan.auditRes[i])
-		case plan.escalated[plan.units[i]]:
-			eo = experimentOutcome(escRes[i])
+			eo.Predicted = h.pred[i].Outcome.String()
+			count(h.auditRes[i])
+		case h.escalated[h.units[i]]:
+			eo = experimentOutcome(esc[0])
+			esc = esc[1:]
 			eo.Engine = "rtl"
-			eo.Predicted = plan.pred[i].Outcome.String()
-			// counted live above
+			eo.Predicted = h.pred[i].Outcome.String()
 		default:
-			eo = experimentOutcome(plan.pred[i])
+			eo = experimentOutcome(h.pred[i])
 			eo.Engine = "iss"
-			count(plan.pred[i])
+			count(h.pred[i])
 		}
 		outs = append(outs, eo)
 	}
-	return outs, nil
-}
-
-// executeHybrid is ExecuteObs's hybrid path: plan, finalize the full
-// range, assemble. Golden-run metadata is the RTL engine's — the hybrid
-// campaign's experiments are defined on the RTL cycle timebase.
-func executeHybrid(ctx context.Context, n Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
-	tr := obs.TracerFrom(ctx)
-	endPlan := tr.Stage("golden")
-	plan, err := hybridPlanFor(ctx, n, workers, reg)
-	endPlan()
-	if err != nil {
-		return nil, err
-	}
-	endExec := tr.Stage("execute")
-	outs, err := hybridOutcomes(ctx, plan, n, 0, len(plan.exps), workers, tap, reg)
-	endExec()
-	if err != nil {
-		return nil, err
-	}
-	endAsm := tr.Stage("assemble")
-	defer endAsm()
-	return assembleOutcome(n, plan.rtl.GoldenCycles, plan.rtl.Checkpointed(), len(plan.exps), outs), nil
-}
-
-// hybridShard is ExecuteShardObs's hybrid path. Unlike the single-engine
-// shard path it reports no partial output on cancellation — a hybrid
-// shard is final only when its whole range is resolved — so the
-// coordinator requeues the full range.
-func hybridShard(ctx context.Context, n Request, start, end, workers int, tap Tap, reg *obs.Registry) (*ShardOutput, error) {
-	plan, err := hybridPlanFor(ctx, n, workers, reg)
-	if err != nil {
-		return nil, err
-	}
-	if start < 0 || end > len(plan.exps) || start > end {
-		return nil, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(plan.exps))
-	}
-	outs, err := hybridOutcomes(ctx, plan, n, start, end, workers, tap, reg)
-	if err != nil {
-		return nil, err
-	}
-	so := &ShardOutput{GoldenCycles: plan.rtl.GoldenCycles, Checkpointed: plan.rtl.Checkpointed()}
-	for j, eo := range outs {
-		so.Indices = append(so.Indices, start+j)
-		so.Experiments = append(so.Experiments, eo)
-	}
-	return so, nil
+	return outs
 }
 
 // HybridClass is one node class (functional unit) of a hybrid

@@ -1,6 +1,9 @@
 package jobs
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Table-driven router decision tests: the per-class escalation verdict
 // is the router's whole routing rule, shared verbatim between the
@@ -35,5 +38,32 @@ func TestEscalateClass(t *testing.T) {
 		if got := escalateClass(c.pred, c.meas, c.confidence); got != c.want {
 			t.Errorf("%s: escalateClass = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// A remote-only coordinator plans a hybrid campaign's total and golden
+// metadata without building its routing plan: the ISS prediction and
+// audit passes belong to whichever worker runs the first range.
+func TestRemoteOnlyCoordinatorSkipsRouting(t *testing.T) {
+	pool := NewShardPool(ShardPoolOptions{Shards: 2, LocalWorkers: -1})
+	req := Request{
+		Workload: "excerptA", Models: []string{"sa1"}, Nodes: 6,
+		Seed: 4242, InjectAtFraction: 0.3, Engine: "hybrid",
+	}
+	c, err := newCoordinator(context.Background(), pool, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.total != 6 {
+		t.Fatalf("coordinator total = %d, want 6", c.total)
+	}
+	if c.plan.route != nil {
+		t.Fatal("remote-only coordinator built the hybrid routing plan")
+	}
+	planCache.mu.Lock()
+	_, cached := planCache.m[c.key]
+	planCache.mu.Unlock()
+	if cached {
+		t.Fatal("remote-only coordinator populated the routing plan cache")
 	}
 }

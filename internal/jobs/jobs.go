@@ -493,60 +493,133 @@ type Progress struct {
 // is called serially.
 type Tap func(done, total, failures int)
 
-// runnerFor resolves the memoized fault runner for a normalized request
-// while honouring cancellation: the golden-run simulation inside
-// campaign.RunnerFor cannot be interrupted mid-flight, so on ctx expiry
-// the build is left to finish in the background — where it still
-// populates the process-wide cache for a later resubmission — and the
-// caller returns promptly with ctx.Err().
-func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
+// buildDetached resolves one memoized engine build while honouring
+// cancellation: the golden-run simulation inside the campaign registry
+// cannot be interrupted mid-flight, so on ctx expiry the build is left
+// to finish in the background — where it still populates the
+// process-wide cache for a later resubmission — and the caller returns
+// promptly with ctx.Err().
+func buildDetached[E any](ctx context.Context, build func() (E, error)) (E, error) {
+	var zero E
 	// A dead context must not kick off an orphan build: Manager.Close
 	// drains every still-queued job through here with the base context
 	// already cancelled.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
 	type built struct {
-		r   *fault.Runner
+		e   E
 		err error
 	}
 	ch := make(chan built, 1)
 	go func() {
 		// A cancelled caller leaves this build running detached; that is
-		// safe because campaign.RunnerFor bounds concurrent golden-run
+		// safe because the campaign registry bounds concurrent golden-run
 		// constructions with its own semaphore, so a submit-and-cancel
 		// loop over ever-new specs queues cheap goroutines, not
 		// simulations.
-		r, err := campaign.RunnerFor(n.Workload,
-			workloads.Config{Iterations: n.Iterations, Dataset: n.Dataset},
-			fault.Options{
-				InjectAtCycle:    n.InjectAtCycle,
-				InjectAtFraction: n.InjectAtFraction,
-				PulseCycles:      n.PulseCycles,
-				NoCheckpoint:     n.NoCheckpoint,
-				NoBatch:          n.NoBatch,
-				Obs:              reg,
-			})
-		ch <- built{r, err}
+		e, err := build()
+		ch <- built{e, err}
 	}()
 	select {
 	case b := <-ch:
-		return b.r, b.err
+		return b.e, b.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return zero, ctx.Err()
 	}
 }
 
-// engineFor resolves the campaign engine a normalized single-engine
-// request runs on: the RTL slab kernel by default, the ISS wrapper for
-// engine "iss" (in its native instruction timebase — instants in the
-// request are instruction indices there). Hybrid requests never come
-// here; their router drives both engines explicitly.
-func engineFor(ctx context.Context, n Request, reg *obs.Registry) (fault.CampaignEngine, error) {
-	if n.Engine == "iss" {
-		return issRunnerFor(ctx, n, reg, 0, 0)
+// engineOptions is the fault-engine configuration a normalized request
+// selects.
+func engineOptions(n Request, reg *obs.Registry) fault.Options {
+	return fault.Options{
+		InjectAtCycle:    n.InjectAtCycle,
+		InjectAtFraction: n.InjectAtFraction,
+		PulseCycles:      n.PulseCycles,
+		NoCheckpoint:     n.NoCheckpoint,
+		NoBatch:          n.NoBatch,
+		Obs:              reg,
 	}
-	return runnerFor(ctx, n, reg)
+}
+
+func (r Request) workloadConfig() workloads.Config {
+	return workloads.Config{Iterations: r.Iterations, Dataset: r.Dataset}
+}
+
+// runnerFor resolves the memoized RTL runner for a normalized request.
+func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner, error) {
+	return buildDetached(ctx, func() (*fault.Runner, error) {
+		return campaign.RunnerFor(n.Workload, n.workloadConfig(), engineOptions(n, reg))
+	})
+}
+
+// issRunnerFor resolves the memoized ISS runner for a normalized
+// request. cycleRef/fixedCycle pin the engine to the RTL cycle timebase
+// (hybrid); both zero select the native instruction timebase (engine
+// "iss").
+func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
+	opts := engineOptions(n, reg)
+	// The ISS engine has no batched mode; keep no_batch out of its cache
+	// key so both spellings share one golden run.
+	opts.NoBatch = false
+	return buildDetached(ctx, func() (*fault.ISSRunner, error) {
+		return campaign.ISSRunnerFor(n.Workload, n.workloadConfig(), opts, cycleRef, fixedCycle)
+	})
+}
+
+// campaignPlan is one campaign resolved for execution, the input of
+// every execution path: the normalized request, its engine from the
+// runner cache (the RTL runner for engine "hybrid" — hybrid campaigns
+// are defined on the RTL cycle timebase), the deterministic experiment
+// expansion, and for engine "hybrid" the routing plan, resolved the
+// first time something needs it. Unsharded execution runs the plan's
+// full range and assembles it; a shard runs one range of it; the shard
+// coordinator sizes its ranges from it and hands it to its in-process
+// workers.
+type campaignPlan struct {
+	req    Request
+	engine fault.CampaignEngine
+	exps   []fault.Experiment
+	reg    *obs.Registry
+
+	mu    sync.Mutex
+	route *hybridPlan
+}
+
+// planCampaign normalizes req and resolves its plan under the golden
+// (engine build or cache hit) and plan (expansion) stage spans of the
+// tracer on ctx. With route set, a hybrid campaign also resolves its
+// routing plan — the ISS prediction and RTL audit passes — inside the
+// plan span; the shard coordinator leaves that to the first range that
+// needs it, so a remote-only coordinator never pays for it.
+func planCampaign(ctx context.Context, req Request, workers int, reg *obs.Registry, route bool) (*campaignPlan, error) {
+	n, err := req.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	tr := obs.TracerFrom(ctx)
+	endGolden := tr.Stage("golden")
+	var eng fault.CampaignEngine
+	if n.Engine == "iss" {
+		// The native instruction timebase: instants in the request are
+		// instruction indices there.
+		eng, err = issRunnerFor(ctx, n, reg, 0, 0)
+	} else {
+		eng, err = runnerFor(ctx, n, reg)
+	}
+	endGolden()
+	if err != nil {
+		return nil, err
+	}
+	endPlan := tr.Stage("plan")
+	defer endPlan()
+	p := &campaignPlan{req: n, engine: eng, exps: experimentsFor(eng, n), reg: reg}
+	if route && n.Engine == "hybrid" {
+		if _, err := p.routing(ctx, workers); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // experimentsFor returns the campaign's deterministic experiment
@@ -571,58 +644,50 @@ func experimentsFor(r fault.CampaignEngine, n Request) []fault.Experiment {
 	return exps
 }
 
-// Execute runs one campaign request synchronously on the process-wide
-// memoized runner cache and returns its canonical outcome. Cancellation
-// via ctx stops the engine within one experiment granule and returns
-// ctx.Err(). tap, when non-nil, observes per-experiment completions.
-// A request with a nonzero Epsilon stops adaptively once the Wilson
-// half-width around the progressive Pf reaches it.
-//
-// This is the single execution path behind the job service's workers and
-// `faultcampaign -json`: both produce bit-identical outcomes by
-// construction. Sharded execution (ShardPool, ExecuteSharded) reassembles
-// the same per-experiment array and therefore the same bytes.
-func Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error) {
-	return ExecuteObs(ctx, req, workers, tap, nil)
+// routing returns the hybrid campaign's routing plan, resolving it
+// through the process-wide plan cache on first use. The plan keeps its
+// own reference because that cache is bounded: a long sharded campaign
+// must not lose its routing plan to eviction and re-run the ISS pass
+// for a later range. A failed build (a cancellation included) is not
+// remembered, so the next range retries it.
+func (p *campaignPlan) routing(ctx context.Context, workers int) (*hybridPlan, error) {
+	p.mu.Lock()
+	h := p.route
+	p.mu.Unlock()
+	if h != nil {
+		return h, nil
+	}
+	h, err := hybridPlanFor(ctx, p, workers)
+	if err == nil {
+		p.mu.Lock()
+		p.route = h
+		p.mu.Unlock()
+	}
+	return h, err
 }
 
-// ExecuteObs is Execute with an optional metrics registry threaded to the
-// fault engine's counters. A tracer carried on ctx (obs.WithTracer)
-// additionally receives per-stage timings: golden (runner build or cache
-// hit), plan (experiment expansion), execute (engine), assemble (outcome
-// encoding). With reg == nil and no tracer it is Execute, byte for byte.
-func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
-	tr := obs.TracerFrom(ctx)
-	n, err := req.Normalize()
-	if err != nil {
-		return nil, err
+// runRange executes experiments [start,end) of the plan and reports
+// them as a ShardOutput with absolute indices: the one range runner
+// behind unsharded, shard-range and coordinator-local execution. tap
+// observes range-local completions (done counts range experiments,
+// total is the range size). With adaptive set, a request's nonzero
+// Epsilon stops the range once the Wilson half-width around its
+// progressive Pf reaches it.
+//
+// A single-engine range cancelled mid-flight returns the subset it
+// completed together with ctx.Err(), so a shard caller can still fold
+// it. A hybrid range is final only when every index is resolved, so it
+// returns no partial output and the coordinator requeues the whole
+// range. In a hybrid range the engine work is the RTL re-execution of
+// escalated-class experiments the audit pass has not already run; every
+// other index resolves from the routing plan.
+func (p *campaignPlan) runRange(ctx context.Context, start, end, workers int, tap Tap, adaptive bool) (*ShardOutput, error) {
+	if start < 0 || end > len(p.exps) || start > end {
+		return nil, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(p.exps))
 	}
-	if n.Engine == "hybrid" {
-		return executeHybrid(ctx, n, workers, tap, reg)
-	}
-	endGolden := tr.Stage("golden")
-	r, err := engineFor(ctx, n, reg)
-	endGolden()
-	if err != nil {
-		return nil, err
-	}
-	endPlan := tr.Stage("plan")
-	exps := experimentsFor(r, n)
-	endPlan()
-
 	var mu sync.Mutex
 	done, failures := 0, 0
-	if tap != nil {
-		tap(0, len(exps), 0)
-	}
-	var stop func(done, failures int) bool
-	if n.Epsilon > 0 {
-		stop = func(done, failures int) bool {
-			return campaign.Tally{Done: done, Failures: failures}.Converged(n.Epsilon, stats.Z95)
-		}
-	}
-	endExec := tr.Stage("execute")
-	results, ran, err := r.CampaignStopContext(ctx, exps, workers, func(i int, res fault.Result) {
+	count := func(res fault.Result) {
 		if tap == nil {
 			return
 		}
@@ -631,22 +696,102 @@ func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs
 		if res.Outcome.IsFailure() {
 			failures++
 		}
-		tap(done, len(exps), failures)
+		tap(done, end-start, failures)
 		mu.Unlock()
+	}
+	var stop func(done, failures int) bool
+	if eps := p.req.Epsilon; adaptive && eps > 0 {
+		stop = func(done, failures int) bool {
+			return campaign.Tally{Done: done, Failures: failures}.Converged(eps, stats.Z95)
+		}
+	}
+
+	todo := p.exps[start:end]
+	var route *hybridPlan
+	var escalated []int
+	if p.req.Engine == "hybrid" {
+		var err error
+		if route, err = p.routing(ctx, workers); err != nil {
+			return nil, err
+		}
+		escalated = route.escalations(start, end)
+		todo = make([]fault.Experiment, len(escalated))
+		for j, i := range escalated {
+			todo[j] = p.exps[i]
+		}
+	}
+	results, ran, err := p.engine.CampaignStopContext(ctx, todo, workers, func(_ int, res fault.Result) {
+		count(res)
 	}, stop)
+
+	so := &ShardOutput{GoldenCycles: p.engine.GoldenTicks(), Checkpointed: p.engine.Checkpointed()}
+	if route != nil {
+		if err != nil {
+			return nil, err
+		}
+		newRouterMetrics(p.reg).experiments.With("rtl").Add(float64(len(escalated)))
+		so.Experiments = route.rangeOutcomes(start, end, results, count)
+		for i := start; i < end; i++ {
+			so.Indices = append(so.Indices, i)
+		}
+		return so, nil
+	}
+	for i, res := range results {
+		if ran[i] {
+			so.Indices = append(so.Indices, start+i)
+			so.Experiments = append(so.Experiments, experimentOutcome(res))
+		}
+	}
+	return so, err
+}
+
+// assemble builds the campaign's canonical outcome from its completed
+// experiments, in campaign order.
+func (p *campaignPlan) assemble(exps []ExperimentOutcome) *Outcome {
+	return assembleOutcome(p.req, p.engine.GoldenTicks(), p.engine.Checkpointed(), len(p.exps), exps)
+}
+
+// Execute runs one campaign request synchronously on the process-wide
+// memoized runner cache and returns its canonical outcome. Cancellation
+// via ctx stops the engine within one experiment granule and returns
+// ctx.Err(). tap, when non-nil, observes per-experiment completions.
+// A request with a nonzero Epsilon stops adaptively once the Wilson
+// half-width around the progressive Pf reaches it.
+//
+// This is the single execution path behind the job service's workers and
+// `faultcampaign`: both produce bit-identical outcomes by construction.
+// Sharded execution (ShardPool, ExecuteSharded) runs ranges of the same
+// plan and reassembles the same per-experiment array, and therefore the
+// same bytes.
+func Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error) {
+	return ExecuteObs(ctx, req, workers, tap, nil)
+}
+
+// ExecuteObs is Execute with an optional metrics registry threaded to the
+// fault engine's counters: plan, run the full range, assemble. A tracer
+// carried on ctx (obs.WithTracer) additionally receives per-stage
+// timings: golden (engine build or cache hit), plan (experiment
+// expansion, plus a hybrid campaign's ISS prediction and audit pass),
+// execute (engine), assemble (outcome encoding). With reg == nil and no
+// tracer it is Execute, byte for byte.
+func ExecuteObs(ctx context.Context, req Request, workers int, tap Tap, reg *obs.Registry) (*Outcome, error) {
+	p, err := planCampaign(ctx, req, workers, reg, true)
+	if err != nil {
+		return nil, err
+	}
+	if tap != nil {
+		tap(0, len(p.exps), 0)
+	}
+	tr := obs.TracerFrom(ctx)
+	endExec := tr.Stage("execute")
+	so, err := p.runRange(ctx, 0, len(p.exps), workers, tap, true)
 	endExec()
 	if err != nil {
 		return nil, err
 	}
 	endAsm := tr.Stage("assemble")
 	defer endAsm()
-	out := make([]ExperimentOutcome, 0, len(results))
-	for i, res := range results {
-		if ran[i] {
-			out = append(out, experimentOutcome(res))
-		}
-	}
-	return assembleOutcome(n, r.GoldenTicks(), r.Checkpointed(), len(exps), out), nil
+	return p.assemble(so.Experiments), nil
 }
 
 // ShardOutput is what one executed experiment-range shard reports back:
@@ -664,58 +809,26 @@ type ShardOutput struct {
 
 // ExecuteShard runs experiments [start,end) of a campaign's deterministic
 // expansion on the process-wide memoized runner cache. It is the worker
-// side of the shard protocol: in-process shard workers and remote
-// `faultserverd -worker` processes both execute leases through it. On ctx
-// cancellation the partial output is returned together with ctx.Err() so
-// the caller can still fold the completed experiments. tap observes
-// shard-local completions (done counts shard experiments, total is the
-// shard size).
+// side of the shard protocol for remote `faultserverd -worker`
+// processes (in-process shard workers run the coordinator's plan
+// directly). On ctx cancellation a single-engine shard's partial output
+// is returned together with ctx.Err() so the caller can still fold the
+// completed experiments. tap observes shard-local completions (done
+// counts shard experiments, total is the shard size).
 func ExecuteShard(ctx context.Context, req Request, start, end, workers int, tap Tap) (*ShardOutput, error) {
 	return ExecuteShardObs(ctx, req, start, end, workers, tap, nil)
 }
 
 // ExecuteShardObs is ExecuteShard with an optional metrics registry
-// threaded to the fault engine. Shard execution deliberately carries no
-// stage tracer: many shards share one campaign, so per-shard spans would
-// double-count into the campaign's stage histogram.
+// threaded to the fault engine: plan, then run [start,end). A tracer on
+// ctx receives the golden, plan and execute spans; nothing assembles
+// here, so there is no assemble span.
 func ExecuteShardObs(ctx context.Context, req Request, start, end, workers int, tap Tap, reg *obs.Registry) (*ShardOutput, error) {
-	n, err := req.Normalize()
+	p, err := planCampaign(ctx, req, workers, reg, true)
 	if err != nil {
 		return nil, err
 	}
-	if n.Engine == "hybrid" {
-		return hybridShard(ctx, n, start, end, workers, tap, reg)
-	}
-	r, err := engineFor(ctx, n, reg)
-	if err != nil {
-		return nil, err
-	}
-	exps := experimentsFor(r, n)
-	if start < 0 || end > len(exps) || start > end {
-		return nil, fmt.Errorf("jobs: shard range [%d,%d) outside campaign of %d experiments", start, end, len(exps))
-	}
-	slice := exps[start:end]
-
-	var mu sync.Mutex
-	done, failures := 0, 0
-	results, ran, err := r.CampaignStopContext(ctx, slice, workers, func(i int, res fault.Result) {
-		if tap == nil {
-			return
-		}
-		mu.Lock()
-		done++
-		if res.Outcome.IsFailure() {
-			failures++
-		}
-		tap(done, len(slice), failures)
-		mu.Unlock()
-	}, nil)
-	so := &ShardOutput{GoldenCycles: r.GoldenTicks(), Checkpointed: r.Checkpointed()}
-	for i, res := range results {
-		if ran[i] {
-			so.Indices = append(so.Indices, start+i)
-			so.Experiments = append(so.Experiments, experimentOutcome(res))
-		}
-	}
-	return so, err
+	endExec := obs.TracerFrom(ctx).Stage("execute")
+	defer endExec()
+	return p.runRange(ctx, start, end, workers, tap, false)
 }

@@ -20,14 +20,14 @@ import (
 // shards and merges the executed ranges back into the canonical outcome.
 //
 // The currency is an index range over the campaign's deterministic
-// experiment expansion (experimentsFor): every worker — in-process
-// goroutine or remote `faultserverd -worker` — expands the identical
-// list from the normalized request, so a shard is fully described by
-// [Start,End) and the union of any partition of [0,N) reassembles the
-// exact per-experiment array an unsharded run produces. With early
-// stopping off, sharded and unsharded campaigns are therefore
-// byte-identical; scheduling (shard count, worker count, lease order)
-// can never change a result.
+// experiment expansion (experimentsFor). In-process workers run ranges
+// of the coordinator's own campaign plan; a remote `faultserverd
+// -worker` plans the identical list from the normalized request. A
+// shard is therefore fully described by [Start,End), and the union of
+// any partition of [0,N) reassembles the exact per-experiment array an
+// unsharded run produces. With early stopping off, sharded and
+// unsharded campaigns are byte-identical; scheduling (shard count,
+// worker count, lease order) can never change a result.
 //
 // Adaptive early stopping folds live shard tallies into a progressive
 // Pf estimate; once the Wilson half-width reaches the request's epsilon
@@ -158,8 +158,10 @@ type shardLease struct {
 // completed ranges into the canonical outcome. It is safe for
 // concurrent use by any number of workers.
 type Coordinator struct {
-	key   string
-	req   Request // normalized
+	key string
+	// plan is the campaign's plan: in-process workers run its ranges
+	// directly, remote workers re-plan from its normalized request.
+	plan  *campaignPlan
 	total int
 	// meta shared by every shard of the campaign, cross-checked on merge.
 	goldenCycles uint64
@@ -191,35 +193,33 @@ type Coordinator struct {
 	finished chan struct{}
 }
 
-// newCoordinator plans a campaign into shards. The runner is resolved
-// through the process-wide memoized cache, so a coordinator that also
-// runs local workers pays for the golden run exactly once. With persist
-// set, any completed shards journaled before a crash are folded in
-// before leasing begins — the resumed campaign only executes the ranges
-// that never durably finished, and because the expansion is a pure
-// function of the request the merged outcome is byte-identical to an
-// undisturbed run.
+// newCoordinator plans a campaign into shards. Its total and golden-run
+// metadata come from the campaign plan its local workers execute, so a
+// coordinator that also runs local workers pays for the golden run and
+// the expansion exactly once; a hybrid campaign's routing plan is built
+// by the first range that needs it, so a remote-only coordinator never
+// builds it. With persist set, any completed shards journaled before a
+// crash are folded in before leasing begins — the resumed campaign only
+// executes the ranges that never durably finished, and because the
+// expansion is a pure function of the request the merged outcome is
+// byte-identical to an undisturbed run.
 func newCoordinator(ctx context.Context, p *ShardPool, req Request, onProgress func(campaign.Tally, int)) (*Coordinator, error) {
 	persist := p.opts.persist
-	n, err := req.Normalize()
+	plan, err := planCampaign(ctx, req, 0, p.opts.Obs, false)
 	if err != nil {
 		return nil, err
 	}
-	key, err := keyOf(n)
+	key, err := keyOf(plan.req)
 	if err != nil {
 		return nil, err
 	}
-	r, err := engineFor(ctx, n, p.opts.Obs)
-	if err != nil {
-		return nil, err
-	}
-	total := len(experimentsFor(r, n))
+	total := len(plan.exps)
 	c := &Coordinator{
 		key:          key,
-		req:          n,
+		plan:         plan,
 		total:        total,
-		goldenCycles: r.GoldenTicks(),
-		checkpointed: r.Checkpointed(),
+		goldenCycles: plan.engine.GoldenTicks(),
+		checkpointed: plan.engine.Checkpointed(),
 		onProgress:   onProgress,
 		persist:      persist,
 		met:          p.met,
@@ -326,7 +326,7 @@ func (c *Coordinator) Lease(worker string) (*ShardLease, bool) {
 			End    int    `json:"end"`
 		}{l.id, worker, rng.Index, rng.Start, rng.End})
 	}
-	return &ShardLease{Lease: l.id, Key: c.key, Request: c.req, Range: rng, Total: c.total}, true
+	return &ShardLease{Lease: l.id, Key: c.key, Request: c.plan.req, Range: rng, Total: c.total}, true
 }
 
 // Progress folds a worker's in-flight tally for a leased shard and
@@ -519,10 +519,10 @@ func (c *Coordinator) tallyLocked() campaign.Tally {
 
 // maybeStopLocked applies the adaptive stopping rule to the live tally.
 func (c *Coordinator) maybeStopLocked() {
-	if c.stopped || c.done || c.req.Epsilon <= 0 {
+	if c.stopped || c.done || c.plan.req.Epsilon <= 0 {
 		return
 	}
-	if c.tallyLocked().Converged(c.req.Epsilon, stats.Z95) {
+	if c.tallyLocked().Converged(c.plan.req.Epsilon, stats.Z95) {
 		c.stopped = true
 		c.pending = nil
 		c.maybeFinishLocked()
@@ -557,7 +557,7 @@ func (c *Coordinator) finishLocked() {
 			exps = append(exps, c.slots[i])
 		}
 	}
-	c.outcome = assembleOutcome(c.req, c.goldenCycles, c.checkpointed, c.total, exps)
+	c.outcome = c.plan.assemble(exps)
 	c.done = true
 	close(c.finished)
 }
@@ -686,17 +686,16 @@ func NewShardPool(opts ShardPoolOptions) *ShardPool {
 // it matches the ManagerOptions.Executor signature so a manager can
 // substitute it for the unsharded path wholesale. workers bounds the
 // local shard executors (see ShardPoolOptions.LocalWorkers); tap
-// observes folded progressive tallies.
+// observes folded progressive tallies. A tracer on ctx receives the
+// golden and plan spans of planning and one execute span around the
+// whole sharded run.
 func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap Tap) (*Outcome, error) {
 	onProgress := func(t campaign.Tally, total int) {
 		if tap != nil {
 			tap(t.Done, total, t.Failures)
 		}
 	}
-	tr := obs.TracerFrom(ctx)
-	endGolden := tr.Stage("golden")
 	c, err := newCoordinator(ctx, p, req, onProgress)
-	endGolden()
 	if err != nil {
 		return nil, err
 	}
@@ -760,7 +759,7 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 			}
 		}
 	}()
-	endExec := tr.Stage("execute")
+	endExec := obs.TracerFrom(ctx).Stage("execute")
 	out, err := c.Wait(ctx)
 	endExec()
 	if err == nil && out.EarlyStopped {
@@ -772,9 +771,11 @@ func (p *ShardPool) Execute(ctx context.Context, req Request, workers int, tap T
 	return out, err
 }
 
-// localWorker drains one coordinator's pending shards in-process. Each
-// shard executes single-threaded so a campaign's total parallelism stays
-// at the local worker count.
+// localWorker drains one coordinator's pending shards in-process,
+// running each leased range on the coordinator's plan. Each shard
+// executes single-threaded so a campaign's total parallelism stays at
+// the local worker count. The range runner emits no stage spans, so
+// the campaign's tracer sees golden, plan and execute exactly once.
 func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, name string) {
 	for {
 		l, ok := p.leaseFrom(c, name)
@@ -806,14 +807,14 @@ func (p *ShardPool) localWorker(ctx context.Context, c *Coordinator, name string
 				}
 			}
 		}()
-		out, err := ExecuteShardObs(sctx, l.Request, l.Range.Start, l.Range.End, 1, func(done, total, failures int) {
+		out, err := c.plan.runRange(sctx, l.Range.Start, l.Range.End, 1, func(done, total, failures int) {
 			mu.Lock()
 			last = campaign.Tally{Done: done, Failures: failures}
 			mu.Unlock()
 			if c.Progress(l.Lease, done, failures) {
 				cancel()
 			}
-		}, p.opts.Obs)
+		}, false)
 		close(kaStop)
 		cancel()
 		switch {

@@ -76,11 +76,19 @@ func shardSpec(target string) jobs.Request {
 // TestShardPartitionDeterminism is the determinism property behind the
 // whole shard layer: ANY partition of [0,N) into ranges — not just the
 // planner's — reproduces the unsharded per-experiment array exactly, on
-// both injection targets. Outcome aggregates are pure functions of that
-// array, so array equality is byte equality of the encoded result.
+// both injection targets and on every engine the range runner drives.
+// Outcome aggregates are pure functions of that array, so array
+// equality is byte equality of the encoded result.
 func TestShardPartitionDeterminism(t *testing.T) {
-	for _, target := range []string{"iu", "cmem"} {
-		req := shardSpec(target)
+	for _, tc := range []struct{ target, engine string }{
+		{"iu", ""},
+		{"cmem", ""},
+		{"iu", "iss"},
+		{"iu", "hybrid"},
+	} {
+		req := shardSpec(tc.target)
+		req.Engine = tc.engine
+		target := tc.target + "/" + tc.engine
 		want, err := jobs.Execute(context.Background(), req, 4, nil)
 		if err != nil {
 			t.Fatal(err)
