@@ -132,7 +132,8 @@ fmt-check:
 # be idempotent (re-replaying the truncated file is clean and lossless).
 # FuzzBatchEquivalence: over random programs, injection instants, node
 # samples, model subsets, lane caps and slice splits, the bit-parallel
-# engine must stay byte-identical to the scalar one.
+# engine must stay byte-identical to the scalar one; its ISS-engine axis
+# holds the activation-gated ISS campaign to ISS RunOne the same way.
 # 10s each is a smoke, not a campaign; run longer locally with
 # `go test -fuzz FuzzJournalReplay -fuzztime 5m ./internal/store/`.
 FUZZTIME ?= 10s

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/iss"
+	"repro/internal/obs"
 	"repro/internal/rtl"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -255,6 +257,48 @@ func BenchmarkCampaignMultiBatch(b *testing.B) {
 		pf = fault.Pf(r.Campaign(exps, 0))
 	}
 	b.ReportMetric(100*pf, "Pf-%")
+	b.ReportMetric(float64(len(exps))*float64(b.N)/b.Elapsed().Seconds(), "exp/s")
+}
+
+// BenchmarkCampaignISS times the ISS engine on the call shape where
+// activation gating pays: 512 IU nodes × stuck-at-0/1 and open-line
+// (1536 lanes) pinned to the RTL cycle timebase, as the hybrid router
+// runs its prediction pass. Every lane resolves from the call's one
+// golden pass; free-% is the share finalized without simulation.
+func BenchmarkCampaignISS(b *testing.B) {
+	w, err := workloads.Build("rspeed", workloads.Config{Iterations: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rtlR, err := fault.NewRunner(w.Program, fault.Options{InjectAtFraction: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	issR, err := fault.NewISSRunner(w.Program, fault.Options{Obs: reg}, rtlR.GoldenCycles, rtlR.InjectCycle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := fault.SampleNodes(issR.Nodes(fault.TargetIU), 512, 1)
+	exps := fault.Expand(nodes, rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine)
+	issR.PrepareCheckpoint() // capture outside the timed region
+	var pf float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pf = fault.Pf(issR.Campaign(exps, 0))
+	}
+	b.StopTimer()
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		b.Fatal(err)
+	}
+	var free, planned float64
+	for _, line := range strings.Split(text.String(), "\n") {
+		fmt.Sscanf(line, "iss_engine_lanes_free_total %g", &free)
+		fmt.Sscanf(line, "iss_engine_lanes_planned_total %g", &planned)
+	}
+	b.ReportMetric(100*pf, "Pf-%")
+	b.ReportMetric(100*free/planned, "free-%")
 	b.ReportMetric(float64(len(exps))*float64(b.N)/b.Elapsed().Seconds(), "exp/s")
 }
 

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -14,14 +15,15 @@ import (
 // sliceCampaign runs exps as consecutive separate campaign calls of the
 // given slice sizes (cycled) and concatenates the results — the shard
 // layer's currency, with every call running its own witnessed pass.
-func sliceCampaign(r *Runner, exps []Experiment, sizes []int, workers int) []Result {
+func sliceCampaign(r CampaignEngine, exps []Experiment, sizes []int, workers int) []Result {
 	var out []Result
 	for lo, k := 0, 0; lo < len(exps); k++ {
 		hi := lo + sizes[k%len(sizes)]
 		if hi > len(exps) {
 			hi = len(exps)
 		}
-		out = append(out, r.Campaign(exps[lo:hi], workers)...)
+		res, _, _ := r.CampaignStopContext(context.Background(), exps[lo:hi], workers, nil, nil)
+		out = append(out, res...)
 		lo = hi
 	}
 	return out
@@ -164,13 +166,19 @@ func TestWitnessPassPerCall(t *testing.T) {
 // FuzzBatchEquivalence generalizes the batched == scalar contract over
 // the campaign space: program, injection instant, node sample, model
 // subset, lane cap and a shard-style slice split. Batched results must
-// equal the scalar engine's byte for byte.
+// equal the scalar engine's byte for byte. The engine axis (engine % 3)
+// moves the same space onto the ISS engine — 1 in its native timebase,
+// 2 pinned to the RTL cycle timebase — where campaign calls resolve
+// their permanent-model lanes from one golden pass and must equal
+// RunOne for every experiment.
 func FuzzBatchEquivalence(f *testing.F) {
-	f.Add(false, uint8(30), int64(1), uint8(24), uint8(0x1f), uint8(64), uint8(0))
-	f.Add(true, uint8(50), int64(7), uint8(40), uint8(0x14), uint8(8), uint8(13))
-	f.Add(false, uint8(80), int64(3), uint8(9), uint8(0x04), uint8(1), uint8(5))
-	f.Add(true, uint8(5), int64(11), uint8(60), uint8(0x13), uint8(3), uint8(29))
-	f.Fuzz(func(t *testing.T, progB bool, frac uint8, seed int64, size uint8, modelMask uint8, laneCap uint8, split uint8) {
+	f.Add(false, uint8(30), int64(1), uint8(24), uint8(0x1f), uint8(64), uint8(0), uint8(0))
+	f.Add(true, uint8(50), int64(7), uint8(40), uint8(0x14), uint8(8), uint8(13), uint8(0))
+	f.Add(false, uint8(80), int64(3), uint8(9), uint8(0x04), uint8(1), uint8(5), uint8(0))
+	f.Add(true, uint8(5), int64(11), uint8(60), uint8(0x13), uint8(3), uint8(29), uint8(0))
+	f.Add(true, uint8(20), int64(2), uint8(50), uint8(0x1f), uint8(0), uint8(0), uint8(1))
+	f.Add(false, uint8(60), int64(5), uint8(33), uint8(0x07), uint8(0), uint8(77), uint8(2))
+	f.Fuzz(func(t *testing.T, progB bool, frac uint8, seed int64, size uint8, modelMask uint8, laneCap uint8, split uint8, engine uint8) {
 		prog := "excerptA"
 		if progB {
 			prog = "excerptB"
@@ -202,6 +210,28 @@ func FuzzBatchEquivalence(f *testing.F) {
 			target = TargetCMEM
 		}
 		exps := Expand(SampleNodes(scalar.Nodes(target), int(size%64)+1, seed), models...)
+		sizes := []int{len(exps)}
+		if split != 0 {
+			sizes = []int{int(split%50) + 1, int(split/50) + 7}
+		}
+		if engine%3 != 0 {
+			var ir *ISSRunner
+			if engine%3 == 1 {
+				ir, err = NewISSRunner(w.Program, Options{InjectAtFraction: opts.InjectAtFraction, PulseCycles: opts.PulseCycles}, 0, 0)
+			} else {
+				ir, err = NewISSRunner(w.Program, Options{PulseCycles: opts.PulseCycles}, scalar.GoldenCycles, scalar.InjectCycle())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ir.ScheduleTransients(exps, seed)
+			ref := make([]Result, len(exps))
+			for i, e := range exps {
+				ref[i] = ir.RunOne(e)
+			}
+			diffResults(t, "iss", exps, ref, sliceCampaign(ir, exps, sizes, 2))
+			return
+		}
 		scalar.ScheduleTransients(exps, seed)
 		ref := scalar.Campaign(exps, 1)
 
@@ -210,10 +240,6 @@ func FuzzBatchEquivalence(f *testing.F) {
 		batched, err := NewRunner(w.Program, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		sizes := []int{len(exps)}
-		if split != 0 {
-			sizes = []int{int(split%50) + 1, int(split/50) + 7}
 		}
 		diffResults(t, "batched", exps, ref, sliceCampaign(batched, exps, sizes, 2))
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/asm"
@@ -35,6 +36,13 @@ import (
 // RTL cycles and are mapped onto instruction indices by the ratio of
 // the two golden-run lengths, and reported Result.InjectAt echoes the
 // RTL-cycle input so hybrid outcome rows stay in one currency.
+//
+// Campaign calls: RunOne is the scalar reference. A campaign call on a
+// checkpointed runner first runs one golden pass from the checkpoint
+// (witnessPass) that settles every permanent-model experiment whose
+// forcing never changes a bit and forks the rest from a pass snapshot
+// at their activation step — the ISS form of the activation gating the
+// RTL engine applies in batch.go, and exact for the same kind of reason.
 
 // ISSRunner executes fault-injection experiments on the instruction-set
 // simulator. It satisfies CampaignEngine; see Runner for the RTL
@@ -74,11 +82,46 @@ type ISSRunner struct {
 	met issMetrics
 }
 
-type issMetrics struct{ experiments *obs.Counter }
+// issMetrics is the ISS engine's work ledger, the counterpart of the RTL
+// engine's engineMetrics. Every handle is a nil-safe no-op without a
+// registry; the counts only observe and never reach a result.
+type issMetrics struct {
+	// experiments counts every experiment a campaign call classified,
+	// whichever path (gated lane or RunOne) resolved it.
+	experiments *obs.Counter
+	// witnessPasses counts golden passes: one per checkpointed campaign
+	// call holding at least one permanent-model experiment.
+	witnessPasses *obs.Counter
+	// lanesPlanned/Free/Activated follow the gating funnel: experiments
+	// the pass covers, those finalized as the golden run without
+	// simulation, and those forked from a pass snapshot.
+	lanesPlanned   *obs.Counter
+	lanesFree      *obs.Counter
+	lanesActivated *obs.Counter
+	// goldenInsts is the instructions the passes executed; laneInsts the
+	// instructions experiment simulations executed from their start
+	// state (pass snapshot, checkpoint or reset).
+	goldenInsts *obs.Counter
+	laneInsts   *obs.Counter
+}
 
 func newISSMetrics(r *obs.Registry) issMetrics {
-	return issMetrics{experiments: r.Counter("iss_engine_experiments_total",
-		"Fault-injection experiments executed and classified by the ISS prediction engine.")}
+	return issMetrics{
+		experiments: r.Counter("iss_engine_experiments_total",
+			"Fault-injection experiments executed and classified by the ISS prediction engine."),
+		witnessPasses: r.Counter("iss_engine_witness_passes_total",
+			"ISS golden passes: one per checkpointed campaign call with at least one permanent-model experiment."),
+		lanesPlanned: r.Counter("iss_engine_lanes_planned_total",
+			"ISS experiments resolved from their campaign call's golden pass."),
+		lanesFree: r.Counter("iss_engine_lanes_free_total",
+			"ISS lanes whose forcing never changed a bit, finalized from the golden pass without simulation."),
+		lanesActivated: r.Counter("iss_engine_lanes_activated_total",
+			"ISS lanes forked from a golden-pass snapshot at or before their activation step."),
+		goldenInsts: r.Counter("iss_engine_golden_pass_instructions_total",
+			"Instructions executed by ISS golden passes."),
+		laneInsts: r.Counter("iss_engine_lane_instructions_total",
+			"Instructions executed by ISS experiment simulations from their pass snapshot, checkpoint or reset."),
+	}
 }
 
 // NewISSRunner builds the golden reference by running the program on a
@@ -286,7 +329,8 @@ func (r *ISSRunner) armAt(e Experiment) uint64 {
 // structure mirrors Runner.RunOne: fork from the golden checkpoint when
 // the instant allows it, otherwise re-emulate from reset, then advance
 // to the instant, apply the fault model at the node's architectural
-// victim, and classify against the golden off-core trace.
+// victim, and classify against the golden off-core trace. It is the
+// scalar reference every campaign path must reproduce byte for byte.
 func (r *ISSRunner) RunOne(e Experiment) Result {
 	atExt := r.armAt(e)
 	at := r.mapTicks(atExt)
@@ -305,55 +349,236 @@ func (r *ISSRunner) RunOne(e Experiment) Result {
 	} else {
 		cpu = r.freshCPU()
 	}
+	from := cpu.Icount
 	c := watchTrace(&r.golden, cpu.Bus, func() uint64 { return cpu.Icount }, start)
-	return r.finish(cpu, c, e, at, atExt)
+	res := r.finish(cpu, c, e, at, atExt)
+	r.met.laneInsts.Add(float64(cpu.Icount - from))
+	return res
 }
 
 // finish advances the clean emulation to the injection instant, applies
 // the fault model at the node's victim and runs to classification.
-// Permanent models re-force the victim bit before every instruction; an
-// open line freezes the bit at the value it carried at the instant; a
-// BitFlip mutates state once; a SETPulse forces the complement for the
-// pulse window and then releases. Latency and run length are computed
-// in instructions and the reported InjectAt echoes the external instant.
+// Permanent models hold the victim bit at their held value (see heldBit)
+// before every instruction; a BitFlip mutates state once; a SETPulse
+// holds the complement of the bit's value at the instant for the pulse
+// window and then releases.
 func (r *ISSRunner) finish(cpu *iss.CPU, c *comparator, e Experiment, at, atExt uint64) Result {
-	r.met.experiments.Inc()
+	for cpu.Icount < at && cpu.Status() == iss.StatusRunning {
+		cpu.Step()
+	}
+	v := victimOf(e.Node.Node)
+	switch e.Model {
+	case rtl.BitFlip:
+		v.flip(cpu)
+		return r.settle(cpu, c, e, v, 0, 0, at, atExt)
+	case rtl.SETPulse:
+		return r.settle(cpu, c, e, v, v.read(cpu)^1, cpu.Icount+r.pulseTicks, at, atExt)
+	}
+	return r.settle(cpu, c, e, v, heldBit(e.Model, v, cpu), math.MaxUint64, at, atExt)
+}
+
+// heldBit is the value a permanent model holds its victim bit at: the
+// stuck value, or for an open line the value the bit carried at the
+// injection instant, where cpu must be positioned.
+func heldBit(m rtl.FaultModel, v victim, cpu *iss.CPU) uint32 {
+	switch m {
+	case rtl.StuckAt0:
+		return 0
+	case rtl.StuckAt1:
+		return 1
+	}
+	return v.read(cpu)
+}
+
+// settle runs a faulted emulation to classification: while Icount is
+// below holdUntil the victim bit is forced to held before every
+// instruction. Latency and run length are computed in instructions and
+// the reported InjectAt echoes the external instant.
+func (r *ISSRunner) settle(cpu *iss.CPU, c *comparator, e Experiment, v victim, held uint32,
+	holdUntil, at, atExt uint64) Result {
 	res := Result{
 		Fault:    rtl.Fault{Node: e.Node.Node, Model: e.Model},
 		Unit:     e.Node.Unit,
 		Latency:  -1,
 		InjectAt: atExt,
 	}
-	for cpu.Icount < at && cpu.Status() == iss.StatusRunning {
-		cpu.Step()
-	}
-	v := victimOf(e.Node.Node)
-	var hold func()
-	holdUntil := uint64(math.MaxUint64)
-	switch e.Model {
-	case rtl.StuckAt0:
-		hold = func() { v.force(cpu, 0) }
-	case rtl.StuckAt1:
-		hold = func() { v.force(cpu, 1) }
-	case rtl.OpenLine:
-		frozen := v.read(cpu)
-		hold = func() { v.force(cpu, frozen) }
-	case rtl.BitFlip:
-		v.flip(cpu)
-	case rtl.SETPulse:
-		glitch := v.read(cpu) ^ 1
-		hold = func() { v.force(cpu, glitch) }
-		holdUntil = cpu.Icount + r.pulseTicks
-	}
 	for cpu.Status() == iss.StatusRunning && cpu.Icount < r.budget &&
 		(r.opts.NoEarlyExit || c.mismatchAt < 0) {
-		if hold != nil && cpu.Icount < holdUntil {
-			hold()
+		if cpu.Icount < holdUntil {
+			v.force(cpu, held)
 		}
 		cpu.Step()
 	}
 	classifyRun(&res, &r.golden, cpu.Status(), cpu.Icount, cpu.Bus, c, at)
-	res.InjectAt = atExt
+	return res
+}
+
+// issSnapInterval is the spacing, in emulator steps, of the golden-state
+// snapshots the call's pass takes. It bounds an activated lane's replay
+// of clean execution before its forcing first bites to this many steps.
+// Shorter intervals buy little: lanes that activate early gain nothing
+// from a closer snapshot and pay for the extra copies.
+const issSnapInterval = 256
+
+// issSnap is one periodic golden-state snapshot of the pass.
+type issSnap struct {
+	cpu    iss.CPU // Bus nil
+	img    *mem.Image
+	writes int // absolute golden write index at the snapshot
+}
+
+// issPass is the witnessed golden continuation of one ISS campaign call:
+// the periodic snapshots, and per experiment of the call the pass step
+// at which its forcing first changes state. It is built before dispatch
+// and only read afterwards, so concurrent workers share it unlocked.
+type issPass struct {
+	ck    *issCheckpoint
+	end   uint64 // golden Icount at program exit
+	snaps []issSnap
+	// act is indexed like the call's experiments: the activation step
+	// of a gated lane, laneFree for one whose forcing never changes a
+	// bit, laneScalar for an experiment the pass does not cover.
+	act []int64
+}
+
+const (
+	laneFree   = -1
+	laneScalar = -2
+)
+
+// gated reports whether the pass can resolve an experiment: the
+// permanent models, whose forcing writes the victim bit only while it
+// differs from the held value. A BitFlip writes unconditionally and a
+// SETPulse's window is its own instant, so both stay on RunOne.
+func gated(m rtl.FaultModel) bool {
+	return m == rtl.StuckAt0 || m == rtl.StuckAt1 || m == rtl.OpenLine
+}
+
+// witnessPass runs the call's one golden continuation from the
+// checkpoint. The ISS forcing is write-side and conditional: a
+// permanent lane's force rewrites its victim bit before each step with
+// the value it already holds until the first step at which the golden
+// current-window bit differs from the held value. Up to that step the
+// faulted run is the golden run, so a lane that never sees a
+// difference is the golden run to exit, and any other lane may start
+// from any golden snapshot at or before its activation step. The pass
+// records that step for every gated lane — steps, not Icount, because
+// annulled delay slots consume a step without advancing Icount — and a
+// CPU + memory snapshot every issSnapInterval steps. It returns nil
+// when the runner is not checkpointed or the call has no gated lane.
+func (r *ISSRunner) witnessPass(exps []Experiment) *issPass {
+	ck := r.checkpoint()
+	if ck == nil {
+		return nil
+	}
+	p := &issPass{ck: ck, act: make([]int64, len(exps))}
+	// need[b][reg] holds the bits whose first golden step with value b
+	// some lane is waiting for: a lane holding h activates on h^1.
+	var need [2][32]uint32
+	planned := 0
+	for i, e := range exps {
+		p.act[i] = laneScalar
+		if !gated(e.Model) {
+			continue
+		}
+		v := victimOf(e.Node.Node)
+		need[heldBit(e.Model, v, &ck.cpu)^1][v.reg] |= 1 << v.bit
+		planned++
+	}
+	if planned == 0 {
+		return nil
+	}
+	r.met.lanesPlanned.Add(float64(planned))
+	var first [2][32][32]int64
+	var regs []int
+	for reg := 1; reg < 32; reg++ {
+		for b := range first {
+			for bit := range first[b][reg] {
+				first[b][reg][bit] = laneFree
+			}
+		}
+		if need[0][reg]|need[1][reg] != 0 {
+			regs = append(regs, reg)
+		}
+	}
+
+	c := ck.cpu
+	cpu := &c
+	bus := mem.NewBus(ck.img.Fork())
+	cpu.Bus = bus
+	bus.Trace.Exited, bus.Trace.ExitCode = ck.exited, ck.exitCode
+	mark := func(b uint32, reg int, hit uint32, step int64) {
+		need[b][reg] &^= hit
+		for ; hit != 0; hit &= hit - 1 {
+			first[b][reg][bits.TrailingZeros32(hit)] = step
+		}
+	}
+	for step := int64(0); cpu.Status() == iss.StatusRunning; step++ {
+		if step%issSnapInterval == 0 {
+			s := issSnap{cpu: *cpu, img: bus.Mem.Snapshot(), writes: ck.writes + len(bus.Trace.Writes)}
+			s.cpu.Bus = nil
+			p.snaps = append(p.snaps, s)
+		}
+		if len(regs) > 0 {
+			kept := regs[:0]
+			for _, reg := range regs {
+				x := cpu.Reg(reg)
+				if hit := x & need[1][reg]; hit != 0 {
+					mark(1, reg, hit, step)
+				}
+				if hit := ^x & need[0][reg]; hit != 0 {
+					mark(0, reg, hit, step)
+				}
+				if need[0][reg]|need[1][reg] != 0 {
+					kept = append(kept, reg)
+				}
+			}
+			regs = kept
+		}
+		cpu.Step()
+	}
+	p.end = cpu.Icount
+	r.met.witnessPasses.Inc()
+	r.met.goldenInsts.Add(float64(p.end - ck.cpu.Icount))
+
+	for i, e := range exps {
+		if gated(e.Model) {
+			v := victimOf(e.Node.Node)
+			p.act[i] = first[heldBit(e.Model, v, &ck.cpu)^1][v.reg][v.bit]
+		}
+	}
+	return p
+}
+
+// runGated resolves one experiment of the call from the pass, given its
+// activation step act. A free lane is the golden run: no effect, golden
+// length. An activated lane forks from the last snapshot at or before
+// its activation step and runs the scalar forcing loop, a no-op until
+// that step, with the held value of the injection instant — an open
+// line's frozen value comes from the checkpoint, not from the snapshot.
+// Either way the result is the one RunOne returns.
+func (r *ISSRunner) runGated(p *issPass, e Experiment, act int64) Result {
+	if act == laneFree {
+		r.met.lanesFree.Inc()
+		return Result{
+			Fault:    rtl.Fault{Node: e.Node.Node, Model: e.Model},
+			Unit:     e.Node.Unit,
+			Outcome:  OutcomeNoEffect,
+			Latency:  -1,
+			Cycles:   p.end,
+			InjectAt: r.injectExt,
+		}
+	}
+	r.met.lanesActivated.Inc()
+	s := &p.snaps[act/issSnapInterval]
+	c := s.cpu
+	cpu := &c
+	cpu.Bus = mem.NewBus(s.img.Fork())
+	cpu.Bus.Trace.Exited, cpu.Bus.Trace.ExitCode = p.ck.exited, p.ck.exitCode
+	cmp := watchTrace(&r.golden, cpu.Bus, func() uint64 { return cpu.Icount }, s.writes)
+	v := victimOf(e.Node.Node)
+	res := r.settle(cpu, cmp, e, v, heldBit(e.Model, v, &p.ck.cpu), math.MaxUint64, r.injectAt, r.injectExt)
+	r.met.laneInsts.Add(float64(cpu.Icount - s.cpu.Icount))
 	return res
 }
 
@@ -365,9 +590,11 @@ func (r *ISSRunner) Campaign(exps []Experiment, workers int) []Result {
 }
 
 // CampaignStopContext runs the experiments across workers with the same
-// tap/stop/cancellation contract as Runner.CampaignStopContext. The ISS
-// engine has no bit-parallel mode, so the dispatch granule is always
-// one experiment.
+// tap/stop/cancellation contract as Runner.CampaignStopContext. On a
+// checkpointed runner it first runs the call's one witnessed golden pass
+// (witnessPass), from which every permanent-model experiment resolves;
+// the rest run on RunOne. The dispatch granule is one experiment either
+// way.
 func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, workers int,
 	tap func(i int, res Result), stop func(done, failures int) bool) ([]Result, []bool, error) {
 	if ctx == nil {
@@ -383,8 +610,15 @@ func (r *ISSRunner) CampaignStopContext(ctx context.Context, exps []Experiment, 
 	}
 	var mu sync.Mutex
 	done, failures := 0, 0
+	pass := r.witnessPass(exps)
 	err := runIndexed(cctx, len(exps), workers, func(i int) {
-		res := r.RunOne(exps[i])
+		var res Result
+		if pass != nil && pass.act[i] != laneScalar {
+			res = r.runGated(pass, exps[i], pass.act[i])
+		} else {
+			res = r.RunOne(exps[i])
+		}
+		r.met.experiments.Inc()
 		results[i] = res
 		mu.Lock()
 		ran[i] = true

@@ -559,8 +559,10 @@ func runnerFor(ctx context.Context, n Request, reg *obs.Registry) (*fault.Runner
 // "iss").
 func issRunnerFor(ctx context.Context, n Request, reg *obs.Registry, cycleRef, fixedCycle uint64) (*fault.ISSRunner, error) {
 	opts := engineOptions(n, reg)
-	// The ISS engine has no batched mode; keep no_batch out of its cache
-	// key so both spellings share one golden run.
+	// no_batch does not apply to the ISS engine: its activation-gated
+	// golden pass always runs, with byte-identical results either way.
+	// Keep the toggle out of its cache key so both spellings share one
+	// golden run.
 	opts.NoBatch = false
 	return buildDetached(ctx, func() (*fault.ISSRunner, error) {
 		return campaign.ISSRunnerFor(n.Workload, n.workloadConfig(), opts, cycleRef, fixedCycle)
