@@ -18,7 +18,9 @@
 // slow a run down, so the fastest of N samples is the closest estimate
 // of the code's real speed, and a genuine regression shows in all N.
 // Absolute numbers are still hardware-sensitive — compare against a
-// baseline cut on comparable hardware, or widen -max-regress.
+// baseline cut on comparable hardware, or widen -max-regress. Names are
+// recorded without go test's -GOMAXPROCS suffix, so a record cut with
+// one core count gates runs with another.
 package main
 
 import (
@@ -60,8 +62,11 @@ func main() {
 		os.Exit(1)
 	}
 
+	// The run's GOMAXPROCS is pinned explicitly so that parse knows the
+	// exact "-N" suffix go test appends to every benchmark name.
+	procs := runtime.GOMAXPROCS(0)
 	args := []string{"test", "-bench=" + *bench, "-benchtime=" + *benchtime,
-		"-count=" + strconv.Itoa(*count), "-run=^$", "."}
+		"-count=" + strconv.Itoa(*count), "-cpu=" + strconv.Itoa(procs), "-run=^$", "."}
 	cmd := exec.Command("go", args...)
 	var buf bytes.Buffer
 	// Tee the raw bench output to stderr so long runs show progress and
@@ -73,7 +78,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rec := parse(buf.String())
+	rec := parse(buf.String(), procs)
 	if len(rec.Benchmarks) == 0 {
 		// An empty record means the regexp matched nothing or the bench
 		// output format drifted; exiting 0 would let CI validate nothing
@@ -187,13 +192,17 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 }
 
 // parse extracts benchmark result lines from go test -bench output. Each
-// line reads "BenchmarkName  N  v1 unit1  v2 unit2 ..."; every value/unit
-// pair becomes a metric. Repeated lines (go test -count > 1) fold
-// per-unit: throughput metrics keep the best (maximum) sample — on a
-// shared machine interference can only slow a benchmark down, so the max
-// is the least contaminated estimate and a genuine code regression still
-// shows in every sample — while non-throughput metrics are averaged.
-func parse(output string) *Record {
+// line reads "BenchmarkName-P  N  v1 unit1  v2 unit2 ..."; every
+// value/unit pair becomes a metric. procs is the run's GOMAXPROCS: go
+// test appends "-procs" to every name when it is above 1, and exactly
+// that suffix is stripped, so records cut on hosts of any core count
+// share names (a sub-benchmark such as nodes-64 keeps its own suffix).
+// Repeated lines (go test -count > 1) fold per-unit: throughput metrics
+// keep the best (maximum) sample — on a shared machine interference can
+// only slow a benchmark down, so the max is the least contaminated
+// estimate and a genuine code regression still shows in every sample —
+// while non-throughput metrics are averaged.
+func parse(output string, procs int) *Record {
 	rec := &Record{Schema: "bench-json/1", Benchmarks: map[string]map[string]float64{}}
 	seen := map[string]map[string]int{}
 	for _, line := range strings.Split(output, "\n") {
@@ -204,10 +213,10 @@ func parse(output string) *Record {
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
 			continue
 		}
-		// The name is kept exactly as go test prints it (minus the
-		// Benchmark prefix), including any -GOMAXPROCS suffix — sub-
-		// benchmark names like nodes-64 make a smarter strip ambiguous.
 		name := strings.TrimPrefix(f[0], "Benchmark")
+		if procs > 1 {
+			name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+		}
 		if _, err := strconv.ParseInt(f[1], 10, 64); err != nil {
 			continue // not an iteration count; some other output line
 		}

@@ -41,6 +41,17 @@ import (
 // any such window is open the pass drains every cycle and records their
 // activation cycle exactly.
 //
+// BitFlip lanes are gated from the same summaries although a flip is a
+// state mutation, not a forcing. FlipBit XORs one raw word: a register's
+// committed value or one array word. The kernel copies raw words only
+// inside a net (the clock-edge commit and Hold), and every consumer read
+// goes through the witnessed Get or Read, so until some consumer samples
+// that word the flipped universe differs from the golden run in that word
+// alone; a write to the net heals it. A flip whose net is read in no
+// block from the one holding its instant to exit is therefore free. Any
+// other forks at its exact instant, replaying at most
+// batchSnapInterval-1 clean cycles, and flips there.
+//
 // Lanes that never activate are finalized from the golden trajectory
 // without simulating a single faulted cycle. Activated lanes fork a
 // scalar continuation from the golden state and run the exact scalar
@@ -72,16 +83,12 @@ type planItem struct {
 }
 
 // planBatches partitions a campaign's experiments into dispatch
-// granules. Experiments are batchable when the checkpointed engine is on
-// and the experiment is a forcing the witnessed pass can reason about:
-// the permanent models and SETPulse. BitFlip mutates raw state (its
-// effect can propagate through raw register copies without ever being
-// "read", so read-witness gating would be unsound), transients sampled
-// before the checkpoint cannot fork from it, and invalid nodes must
-// reproduce the scalar engine's inject-error result — all of those run
-// scalar. Batches are filled in input order; result content is
-// independent of the partition, so the plan shape is free to change
-// without affecting campaign or shard determinism.
+// granules. Every fault model is batchable when the checkpointed engine
+// is on. Transients sampled before the checkpoint cannot fork from it,
+// and invalid nodes must reproduce the scalar engine's inject-error
+// result, so both run scalar. Batches are filled in input order; result
+// content is independent of the partition, so the plan shape is free to
+// change without affecting campaign or shard determinism.
 func (r *Runner) planBatches(exps []Experiment) []planItem {
 	lanes := r.opts.BatchLanes
 	if lanes <= 0 || lanes > maxBatchLanes {
@@ -107,8 +114,7 @@ func (r *Runner) planBatches(exps []Experiment) []planItem {
 		}
 	}
 	for i, e := range exps {
-		batchable := e.Model != rtl.BitFlip &&
-			!(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
+		batchable := !(e.Model.Transient() && e.AtCycle < r.opts.InjectAtCycle) &&
 			k.NodeValid(e.Node.Node)
 		if !batchable {
 			plan = append(plan, planItem{idx: i})
@@ -138,17 +144,22 @@ type lane struct {
 	sampled   uint64
 	// activateAt is the golden cycle the lane forks at: the start of its
 	// first activating block for permanent models, the exact first
-	// activation cycle for SETPulse. active is false if no consumer ever
-	// read the faulted bit with a differing value.
+	// activation cycle for SETPulse, the injection instant for BitFlip.
+	// active is false if no consumer ever read the faulted bit with a
+	// differing value.
 	active     bool
 	activateAt uint64
 }
 
 // activatesOn reports whether a golden-pass observation of the lane's
 // net activates the lane: some consumer read the faulted bit with the
-// polarity the forcing would invert.
+// polarity the forcing would invert. A flip inverts whichever value the
+// bit holds, so any read of it activates a BitFlip lane.
 func (l *lane) activatesOn(a rtl.WitnessAcc) bool {
-	if l.forcedOne {
+	switch {
+	case l.e.Model == rtl.BitFlip:
+		return (a.Ones|a.Zeros)&l.bit != 0
+	case l.forcedOne:
 		return a.Zeros&l.bit != 0
 	}
 	return a.Ones&l.bit != 0
@@ -327,7 +338,8 @@ func (r *Runner) witnessPass(exps []Experiment, plan []planItem) *callPass {
 		r.met.goldenCycles.Add(float64(p.end - p.start))
 	}
 
-	// A permanent lane forks at the start of its first activating block.
+	// A permanent lane forks at the start of its first activating block,
+	// a BitFlip lane read at or after its instant's block at that instant.
 	for _, l := range all {
 		if l.pulseEnd == 0 {
 			if at := p.nextActivation(l, p.start); at >= 0 {
@@ -343,16 +355,28 @@ func (r *Runner) witnessPass(exps []Experiment, plan []planItem) *callPass {
 // For a permanent lane that is the start of its next activating block.
 // A SETPulse lane's activation is only known exactly inside its window
 // (where forking happens); from within the window the answer is from
-// itself, which keeps the lane simulating, and past it -1.
+// itself, which keeps the lane simulating, and past it -1. A BitFlip
+// lane arms nothing, so once past its instant (healed) it is -1, as is a
+// flip at or after the golden exit; otherwise the lane forks at the
+// instant itself if its net is read in any block from the instant's on.
 func (p *callPass) nextActivation(l *lane, from uint64) int64 {
-	if l.pulseEnd != 0 {
+	switch {
+	case l.pulseEnd != 0:
 		if from >= l.pulseEnd {
 			return -1
 		}
 		return int64(from)
+	case l.e.Model == rtl.BitFlip:
+		if from > l.injectAt || l.injectAt >= p.end {
+			return -1
+		}
+		from = l.injectAt
 	}
 	for b := int((from - p.start) / batchSnapInterval); b < len(p.snaps); b++ {
 		if l.activatesOn(p.sums[b*p.nNets+l.net]) {
+			if l.e.Model == rtl.BitFlip {
+				return int64(l.injectAt)
+			}
 			return int64(p.start + uint64(b)*batchSnapInterval)
 		}
 	}
@@ -436,6 +460,8 @@ func (r *Runner) materialize(core *leon3.Core, p *callPass, t uint64) (*mem.Bus,
 // injection instant, reproducing exactly the forcing a scalar Inject at
 // the original instant armed: the charge-sampling models take their
 // frozen value from the lane's recorded sample, not the present state.
+// A BitFlip lane is only ever armed at its instant, where Inject flips
+// the golden value exactly as the scalar run does.
 func (l *lane) arm(core *leon3.Core) error {
 	switch l.e.Model {
 	case rtl.OpenLine, rtl.SETPulse:

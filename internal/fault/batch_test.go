@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rtl"
+	"repro/internal/sparc"
 	"repro/internal/workloads"
 )
 
@@ -49,15 +50,15 @@ func diffResults(t *testing.T, name string, exps []Experiment, want, got []Resul
 // TestEngineEquivalenceMultiBatch covers what the 6-node
 // TestEngineEquivalence cannot: campaign calls whose plan holds many
 // batches, all resolving from the call's one witnessed pass, with
-// permanent and SET lanes mixed in the same call, plus shard slices
-// that cut batches mid-way. Every variant must be byte-identical to the
-// scalar engine.
+// permanent, SET and bit-flip lanes mixed in the same call, plus shard
+// slices that cut batches mid-way. Every variant must be byte-identical
+// to the scalar engine.
 func TestEngineEquivalenceMultiBatch(t *testing.T) {
 	w, err := workloads.Build("excerptB", workloads.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := []rtl.FaultModel{rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine, rtl.SETPulse}
+	models := []rtl.FaultModel{rtl.StuckAt0, rtl.StuckAt1, rtl.OpenLine, rtl.SETPulse, rtl.BitFlip}
 	base := Options{InjectAtFraction: 0.3, PulseCycles: 3}
 	for _, target := range []Target{TargetIU, TargetCMEM} {
 		t.Run(target.String(), func(t *testing.T) {
@@ -119,7 +120,11 @@ func engineCounters(t *testing.T, reg *obs.Registry) map[string]float64 {
 // TestWitnessPassPerCall pins the exact ledger of the shared pass: one
 // witnessed golden pass per campaign call that has a batch, however many
 // batches the call dispatches, covering the golden continuation from the
-// checkpoint to exit exactly once; none for a call without batches.
+// checkpoint to exit exactly once; none for a call without batches. A
+// call of bit-flips left unscheduled (AtCycle 0, before the checkpoint)
+// has none: those experiments cannot fork from the checkpoint and run
+// scalar. The same bit-flips scheduled past the checkpoint are lanes,
+// and their call runs exactly one pass.
 func TestWitnessPassPerCall(t *testing.T) {
 	w, err := workloads.Build("excerptA", workloads.Config{})
 	if err != nil {
@@ -153,13 +158,101 @@ func TestWitnessPassPerCall(t *testing.T) {
 	}
 
 	r.Campaign(exps[:40], 1)
-	r.Campaign(Expand(SampleNodes(r.Nodes(TargetIU), 10, 3), rtl.BitFlip), 1)
+	flips := Expand(SampleNodes(r.Nodes(TargetIU), 10, 3), rtl.BitFlip)
+	r.Campaign(flips, 1)
 	c = engineCounters(t, reg)
 	if got := c["engine_witness_passes_total"]; got != 2 {
 		t.Fatalf("witness passes = %v after a batched and a batch-free call, want 2", got)
 	}
 	if got := c["engine_golden_pass_cycles_total"]; got != 2*passCycles {
 		t.Fatalf("golden-pass cycles = %v, want %v", got, 2*passCycles)
+	}
+
+	r.ScheduleTransients(flips, 3)
+	r.Campaign(flips, 1)
+	c = engineCounters(t, reg)
+	if got := c["engine_witness_passes_total"]; got != 3 {
+		t.Fatalf("witness passes = %v after a scheduled bit-flip call, want 3", got)
+	}
+	if got := c["engine_golden_pass_cycles_total"]; got != 3*passCycles {
+		t.Fatalf("golden-pass cycles = %v, want %v", got, 3*passCycles)
+	}
+}
+
+// TestSEULaneGating pins the bit-flip lane funnel of one fixed campaign
+// call exactly and checks the lane edge cases against the block grid of
+// the call's pass. A flip's lane is free iff its net is read in no block
+// from the one holding its instant to exit; otherwise it forks at the
+// instant itself. Hand-placed instants cover a block start (the fork
+// replays nothing), the last block (read and unread nets), and the
+// golden exit and beyond (always free). Every result must equal the
+// scalar engine's; a read scan that starts a block late frees lanes
+// read only in their own block and breaks that, while one that starts
+// at the pass start forks lanes needlessly, which only the exact funnel
+// and the edge cases catch.
+func TestSEULaneGating(t *testing.T) {
+	w, err := workloads.Build("excerptA", workloads.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Options{InjectAtFraction: 0.3}
+	scalarOpts := base
+	scalarOpts.NoBatch = true
+	scalar, err := NewRunner(w.Program, scalarOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	opts := base
+	opts.Obs = reg
+	r, err := NewRunner(w.Program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	exps := Expand(SampleNodes(r.Nodes(TargetIU), 150, 21), rtl.BitFlip)
+	r.ScheduleTransients(exps, 21)
+	start, end := r.InjectCycle(), r.GoldenCycles
+	lastBlock := start + (end-1-start)/batchSnapInterval*batchSnapInterval
+	pc := NodeInfo{Node: rtl.Node{Name: "iu.fe.pc", Bit: 4}, Unit: sparc.UnitFetch}
+	// redirpc is read during the run but in no block of the last one.
+	redir := NodeInfo{Node: rtl.Node{Name: "iu.fe.redirpc", Bit: 4}, Unit: sparc.UnitFetch}
+	dead := NodeInfo{Node: rtl.Node{Name: "iu.md.acc", Bit: 32}, Unit: sparc.UnitMulDiv}
+	edges := []struct {
+		node   NodeInfo
+		at     uint64
+		active bool
+	}{
+		{pc, start, true},
+		{pc, start + 3*batchSnapInterval, true},
+		{pc, lastBlock, true},
+		{pc, end - 1, true},
+		{dead, lastBlock + 1, false},
+		{redir, end - 1, false},
+		{pc, end, false},
+		{pc, end + 500, false},
+	}
+	first := len(exps)
+	for _, e := range edges {
+		exps = append(exps, Experiment{Node: e.node, Model: rtl.BitFlip, AtCycle: e.at})
+	}
+
+	diffResults(t, "batched", exps, scalar.Campaign(exps, 2), r.Campaign(exps, 2))
+	c := engineCounters(t, reg)
+	if c["engine_witness_passes_total"] != 1 || c["engine_batch_lanes_planned_total"] != 158 ||
+		c["engine_batch_lanes_activated_total"] != 32 || c["engine_batch_lanes_free_total"] != 126 {
+		t.Fatalf("passes %v, lane funnel planned/activated/free = %v/%v/%v, want 1, 158/32/126",
+			c["engine_witness_passes_total"], c["engine_batch_lanes_planned_total"],
+			c["engine_batch_lanes_activated_total"], c["engine_batch_lanes_free_total"])
+	}
+
+	p := r.witnessPass(exps, r.planBatches(exps))
+	for j, e := range edges {
+		l := p.lanes[first+j]
+		if l.active != e.active || (l.active && l.activateAt != e.at) {
+			t.Errorf("flip of %v at %d: active=%v at %d, want active=%v at the instant",
+				e.node.Node, e.at, l.active, l.activateAt, e.active)
+		}
 	}
 }
 
@@ -178,6 +271,9 @@ func FuzzBatchEquivalence(f *testing.F) {
 	f.Add(true, uint8(5), int64(11), uint8(60), uint8(0x13), uint8(3), uint8(29), uint8(0))
 	f.Add(true, uint8(20), int64(2), uint8(50), uint8(0x1f), uint8(0), uint8(0), uint8(1))
 	f.Add(false, uint8(60), int64(5), uint8(33), uint8(0x07), uint8(0), uint8(77), uint8(2))
+	// Bit-flip-only calls (mask 0x08) on IU (seed&4 == 0) and CMEM.
+	f.Add(false, uint8(40), int64(1), uint8(63), uint8(0x08), uint8(64), uint8(0), uint8(0))
+	f.Add(true, uint8(70), int64(6), uint8(50), uint8(0x08), uint8(16), uint8(23), uint8(0))
 	f.Fuzz(func(t *testing.T, progB bool, frac uint8, seed int64, size uint8, modelMask uint8, laneCap uint8, split uint8, engine uint8) {
 		prog := "excerptA"
 		if progB {

@@ -145,11 +145,12 @@ type Options struct {
 	// experiment then runs as its own scalar simulation instead of
 	// resolving from the campaign call's one witnessed golden pass in
 	// batches of up to 64 fault universes (see batch.go and DESIGN.md
-	// §10). Results are identical; like NoCheckpoint the toggle exists
-	// for debugging and the engine-equivalence tests. Batching also
-	// requires the checkpointed engine; with NoCheckpoint set or
-	// InjectAtCycle zero every experiment is scalar regardless of
-	// NoBatch.
+	// §10). Every model batches, BitFlip included; with NoBatch every
+	// experiment runs on RunOne, the scalar reference. Results are
+	// identical; like NoCheckpoint the toggle exists for debugging and
+	// the engine-equivalence tests. Batching also requires the
+	// checkpointed engine; with NoCheckpoint set or InjectAtCycle zero
+	// every experiment is scalar regardless of NoBatch.
 	NoBatch bool
 	// BatchLanes caps the number of fault universes a batch carries
 	// (DESIGN.md §10 ablates 1/8/32/64). Zero selects the full 64 lanes;

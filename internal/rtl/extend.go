@@ -11,7 +11,10 @@ import "fmt"
 // FlipBit inverts the present value of a node once (a single-event upset).
 // In a pipeline register the flip naturally lasts until the register is
 // rewritten — one cycle for flow-through state, indefinitely for
-// quasi-static state — exactly the behavior of a real SEU.
+// quasi-static state — exactly the behavior of a real SEU. Until a
+// consumer samples the flipped word through Get or Read, the only raw
+// copies of it (the clock-edge commit and Hold) stay inside the same net,
+// so the flip is observable exactly where a witness records a read.
 func (k *Kernel) FlipBit(n Node) error {
 	bit := uint64(1) << n.Bit
 	for _, s := range k.signals {

@@ -15,13 +15,16 @@
 //
 // Fault forcing is read-side for every model except bit-flip: Inject
 // never rewrites slab state, it only redirects what consumers observe.
-// That property is the seam the bit-parallel (PPSFP) campaign engine is
-// built on: StartWitness arms per-net read observation, each cycle's
-// WitnessAcc records exactly which bit values the design consumed, and a
-// fault universe whose forced value is never read differently from the
-// golden run provably cannot diverge — one witnessed golden pass
-// therefore resolves up to 64 such universes (lanes) at once (see
-// internal/fault and DESIGN.md §10). InjectForced arms open-line and
+// A bit-flip rewrites one raw word, which the kernel copies raw only
+// inside its own net (the clock-edge commit and Hold), so it too stays
+// invisible until a consumer reads that word. That property is the seam
+// the bit-parallel (PPSFP) campaign engine is built on: StartWitness
+// arms per-net read observation, each cycle's WitnessAcc records exactly
+// which bit values the design consumed, and a fault universe whose
+// faulted bit is never read differently from the golden run provably
+// cannot diverge — one witnessed golden pass therefore resolves every
+// such universe (lane) of a campaign call at once (see internal/fault
+// and DESIGN.md §10). InjectForced arms open-line and
 // SET-pulse faults with an externally sampled charge so a lane's fork
 // reproduces the scalar engine's injection instant exactly.
 //
@@ -153,10 +156,6 @@ func (s *Signal) SetNextBool(v bool) {
 		s.SetNext(0)
 	}
 }
-
-// Next returns the currently scheduled next value (used by hold logic to
-// re-schedule the present value).
-func (s *Signal) Next() uint64 { return *s.nxtp }
 
 // Hold re-schedules the current committed value, stalling the register.
 func (s *Signal) Hold() { *s.nxtp = *s.curp }

@@ -13,6 +13,17 @@ import "fmt"
 // activation predicate a pair of bitwise ops across all 64 bits of a net
 // at once — the PPSFP trick transplanted from gate-level patterns to
 // word-level fault universes (see DESIGN.md §10).
+//
+// The invariant the witness rests on: every consumer read of kernel
+// state goes through Signal.Get, Signal.GetBool or MemArray.Read, all
+// of which record into an armed accumulator. The kernel's raw copies —
+// the clock-edge register commit and Hold — move a word only within its
+// own net, and no method a design process can call hands out a raw
+// committed or pending value (Witness.Sample and Snapshot are engine
+// side; a bridge reads its partner net raw, but campaigns arm none).
+// That is what makes a bit-flip (FlipBit mutates one raw word) as
+// witnessable as a forcing: the flipped universe differs from the
+// golden one in that word alone until some consumer reads it.
 
 // WitnessNet names one watched net: a signal, or a single word of a
 // memory array (Word is 0 for signals).
